@@ -4,119 +4,25 @@ Keys are the graph6 bytes of a canonically relabeled copy, so two graphs
 compare equal by key exactly when they are isomorphic, and a key alone
 decodes back to a concrete representative graph.
 
-Up to EXHAUSTIVE_LIMIT vertices the representative maximizes the packed
-upper-triangle bit string (column-major, the graph6 bit order) over all
-n! relabelings, scanned vectorized.  Above that an ordered-partition
-refinement search maximizes the same bit string over the labelings
-consistent with an isomorphism-invariant refinement scheme; that is a
-smaller orbit, so the two algorithms can elect different representatives
-of the same class.  Each graph size is served by exactly one algorithm,
-so keys never mix.  Correctness is favored over speed throughout.
+One algorithm serves every graph size: an individualization-refinement
+search over ordered partitions elects the labeling with the largest
+packed upper-triangle bit string (column-major, the graph6 bit order)
+among the leaves it reaches.  Every leaf whose bit string ties the best
+one yields an automorphism, and the search skips a branch vertex that
+such automorphisms (those fixing the branch's path) map onto a vertex
+already tried, as in McKay and Piperno's orbit pruning.  Skipped
+subtrees are images of searched ones, so pruning never changes the
+elected labeling.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
-import numpy as np
-
-from .graphs import Graph, emit_graph6, induced_subgraph, iter_bits, parse_graph6, permute
+from .graphs import Graph, emit_graph6, iter_bits, parse_graph6, permute
 
 CanonicalKey = bytes
 
-EXHAUSTIVE_LIMIT = 8
-
-_CHUNK_ELEMENTS = 24_000_000  # bound on bools materialized per vectorized slab
-
-
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> np.ndarray:
-    """All permutations of range(n), one per row, lexicographic order."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    prev = _perm_table(n - 1)
-    rows = []
-    for first in range(n):
-        rest = np.where(prev < first, prev, prev + 1)
-        block = np.empty((prev.shape[0], n), dtype=np.int8)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.concatenate(rows)
-
-
-@lru_cache(maxsize=None)
-def _triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle index pairs in column-major (graph6) order."""
-    rows, cols = [], []
-    for j in range(1, n):
-        for i in range(j):
-            rows.append(i)
-            cols.append(j)
-    return np.array(rows, dtype=np.int8), np.array(cols, dtype=np.int8)
-
-
-def _bool_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=bool)
-    for v in range(g.n):
-        for u in iter_bits(g.adj[v]):
-            a[v, u] = True
-    return a
-
-
-def _pack_codes(bits: np.ndarray) -> np.ndarray:
-    """Pack (..., k) bit rows, k <= 28, into comparable uint32 codes."""
-    packed = np.packbits(bits, axis=-1)  # big-endian per byte, zero padded
-    codes = np.zeros(packed.shape[:-1], dtype=np.uint32)
-    for b in range(packed.shape[-1]):
-        codes = codes << np.uint32(8) | packed[..., b].astype(np.uint32)
-    return codes
-
-
-def _max_code_rows(a: np.ndarray, n: int) -> tuple[int, int]:
-    """Best (code, perm row index) over all n! relabelings of one graph."""
-    perms = _perm_table(n)
-    ri, ci = _triu_pairs(n)
-    best_code = -1
-    best_row = 0
-    step = max(1, _CHUNK_ELEMENTS // max(1, len(ri)))
-    for start in range(0, perms.shape[0], step):
-        chunk = perms[start:start + step]
-        bits = a[chunk[:, ri], chunk[:, ci]]
-        codes = _pack_codes(bits)
-        row = int(np.argmax(codes))
-        code = int(codes[row])
-        if code > best_code:
-            best_code = code
-            best_row = start + row
-    return best_code, best_row
-
-
-def max_codes_batch(graphs: list[Graph], n: int) -> list[int]:
-    """Canonical codes for many graphs of one size n <= EXHAUSTIVE_LIMIT.
-
-    Equal codes mean isomorphic graphs; used for bulk deduplication.
-    """
-    if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"batch codes limited to n <= {EXHAUSTIVE_LIMIT}")
-    if n <= 1:
-        return [0] * len(graphs)
-    perms = _perm_table(n)
-    ri, ci = _triu_pairs(n)
-    per_graph = perms.shape[0] * len(ri)
-    step = max(1, _CHUNK_ELEMENTS // per_graph)
-    out: list[int] = []
-    for start in range(0, len(graphs), step):
-        stack = np.stack([_bool_matrix(g) for g in graphs[start:start + step]])
-        bits = stack[:, perms[:, ri], perms[:, ci]]
-        codes = _pack_codes(bits)
-        out.extend(int(c) for c in codes.max(axis=1))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# refinement search for larger graphs
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     """Equitable refinement of an ordered partition of cell masks.
@@ -163,59 +69,72 @@ def _canonical_refined(g: Graph) -> tuple[int, ...]:
     if g.m == 0 or g.m == total_bits:
         return tuple(range(n))
     adj = g.adj
-    best: dict[str, int | list[int] | None] = {"code": -1, "order": None}
+    best_code = -1
+    best_order: list[int] = []
+    autos: list[list[int]] = []  # automorphisms found at tying leaves
 
-    def search(cells: list[int]) -> None:
+    def search(cells: list[int], path: list[int]) -> None:
+        nonlocal best_code, best_order
         cells = _refine(adj, cells)
         prefix: list[int] = []
         for cell in cells:
             if cell.bit_count() != 1:
                 break
             prefix.append(cell.bit_length() - 1)
-        if best["order"] is not None and len(prefix) > 1:
+        if best_order and len(prefix) > 1:
             pbits = len(prefix) * (len(prefix) - 1) // 2
-            have = _code_of_order(adj, prefix)
-            want = best["code"] >> (total_bits - pbits)  # type: ignore[operator]
-            if have < want:
+            if _code_of_order(adj, prefix) < best_code >> (total_bits - pbits):
                 return
         if len(prefix) == n:
             code = _code_of_order(adj, prefix)
-            if code > best["code"]:  # type: ignore[operator]
-                best["code"] = code
-                best["order"] = prefix
+            if code > best_code:
+                best_code, best_order = code, prefix
+            elif code == best_code:
+                gamma = [0] * n
+                for b, v in zip(best_order, prefix):
+                    gamma[b] = v
+                autos.append(gamma)
             return
         target_idx = min(
             (i for i, c in enumerate(cells) if c.bit_count() > 1),
             key=lambda i: cells[i].bit_count(),
         )
         target = cells[target_idx]
+        # orbits of the found automorphisms that fix the path pointwise
+        root = list(range(n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        merged = 0
+        tried: set[int] = set()
         for v in iter_bits(target):
+            for gamma in autos[merged:]:
+                if all(gamma[u] == u for u in path):
+                    for u in range(n):
+                        root[find(u)] = find(gamma[u])
+            merged = len(autos)
+            if find(v) in {find(w) for w in tried}:
+                continue
+            tried.add(v)
             branched = (
                 cells[:target_idx]
                 + [1 << v, target & ~(1 << v)]
                 + cells[target_idx + 1:]
             )
-            search(branched)
+            search(branched, path + [v])
 
-    search([g.vertex_mask])
-    order = best["order"]
-    assert order is not None
-    return tuple(order)
+    search([g.vertex_mask], [])
+    return tuple(best_order)
 
 
 @lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:
     """Key bytes plus the order array (order[p] = original vertex at slot p)."""
-    n = g.n
-    if n <= 1:
-        order: tuple[int, ...] = tuple(range(n))
-    elif n <= EXHAUSTIVE_LIMIT:
-        a = _bool_matrix(g)
-        _, row = _max_code_rows(a, n)
-        order = tuple(int(x) for x in _perm_table(n)[row])
-    else:
-        order = _canonical_refined(g)
-    inverse = [0] * n
+    order = _canonical_refined(g)
+    inverse = [0] * g.n
     for p, v in enumerate(order):
         inverse[v] = p
     key = emit_graph6(permute(g, inverse)).encode("ascii")
@@ -224,6 +143,11 @@ def canonical_form(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:
 
 def canonical_key(g: Graph) -> CanonicalKey:
     return canonical_form(g)[0]
+
+
+def max_codes_batch(graphs: list[Graph], n: int) -> list[CanonicalKey]:
+    """Keys of many graphs on n vertices, the enumerator's bulk call."""
+    return [canonical_key(g) for g in graphs]
 
 
 def canonical_graph(g: Graph) -> Graph:

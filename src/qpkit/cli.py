@@ -46,7 +46,7 @@ def _recognition_limit() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise SystemExit(f"{LIMIT_ENV} must be an integer, got {raw!r}") from exc
+        raise ValueError(f"{LIMIT_ENV} must be an integer, got {raw!r}") from exc
 
 
 def _read_text(path: str) -> str:

@@ -156,15 +156,11 @@ def _grow_levels(n: int) -> None:
                        for v, row in enumerate(parent.adj)]
                 adj.append(mask)
                 candidates.append(Graph(k, tuple(adj)))
-        codes = max_codes_batch(candidates, k)
-        seen: set[int] = set()
-        reps: list[Graph] = []
-        for g, code in zip(candidates, codes):
-            if code not in seen:
-                seen.add(code)
-                reps.append(g)
-        reps.sort(key=lambda g: (g.m, canonical_key(g)))
-        _LEVELS.append(reps)
+        reps: dict[bytes, Graph] = {}
+        for g, key in zip(candidates, max_codes_batch(candidates, k)):
+            reps.setdefault(key, g)
+        ranked = sorted(reps.items(), key=lambda item: (item[1].m, item[0]))
+        _LEVELS.append([g for _, g in ranked])
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -172,7 +168,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
     Classes are found by extending each (n-1)-vertex class with every
     possible new-vertex neighborhood and deduplicating on canonical
-    codes; the result is sorted by edge count then canonical key.
+    keys; the result is sorted by edge count then canonical key.
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"built-in enumeration covers 0..{ENUMERATION_LIMIT}, got {n}")

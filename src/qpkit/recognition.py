@@ -345,6 +345,16 @@ class _Entry:
     has_template: bool = False
 
 
+def _to_canonical(mask: int, order: tuple[int, ...]) -> int:
+    """Vertex mask relabeled into canonical slots (order[p] sits at slot p)."""
+    return sum(1 << p for p, v in enumerate(order) if mask >> v & 1)
+
+
+def _from_canonical(mask: int, order: tuple[int, ...]) -> int:
+    """Canonical-slot mask relabeled back onto the original vertices."""
+    return sum(1 << order[p] for p in iter_bits(mask))
+
+
 class RecognitionEngine:
     """Memoized quasiperfect recognizer.
 
@@ -454,14 +464,8 @@ class RecognitionEngine:
                 return _Entry(False)
             return _Entry(True)
         _, order = canonical_form(g)
-        slot = {v: p for p, v in enumerate(order)}
-        pi_canon = 0
-        for v in iter_bits(pi):
-            pi_canon |= 1 << slot[v]
-        pk_canon = 0
-        for v in iter_bits(pk):
-            pk_canon |= 1 << slot[v]
-        return _Entry(True, pi_canon, pk_canon, has_template=True)
+        return _Entry(True, _to_canonical(pi, order), _to_canonical(pk, order),
+                      has_template=True)
 
     def _materialize(self, g: Graph) -> QpCertificate:
         if g.n == 0:
@@ -477,22 +481,11 @@ class RecognitionEngine:
             pi = self._first_branch(g, prime_independent_sets(g))
             pk = self._first_branch(g, prime_cliques(g))
             assert pi is not None and pk is not None
-            slot = {v: p for p, v in enumerate(order)}
-            pi_canon = 0
-            for v in iter_bits(pi):
-                pi_canon |= 1 << slot[v]
-            pk_canon = 0
-            for v in iter_bits(pk):
-                pk_canon |= 1 << slot[v]
-            entry.pi_canon = pi_canon
-            entry.pk_canon = pk_canon
+            entry.pi_canon = _to_canonical(pi, order)
+            entry.pk_canon = _to_canonical(pk, order)
             entry.has_template = True
-        pi = 0
-        for p in iter_bits(entry.pi_canon):
-            pi |= 1 << order[p]
-        pk = 0
-        for p in iter_bits(entry.pk_canon):
-            pk |= 1 << order[p]
+        pi = _from_canonical(entry.pi_canon, order)
+        pk = _from_canonical(entry.pk_canon, order)
         return QpCertificate(
             key=key,
             pi=pi,

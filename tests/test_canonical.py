@@ -1,25 +1,30 @@
-"""Canonical forms: invariance, completeness, and cross-algorithm checks."""
+"""Canonical forms: invariance, completeness, and the pruned search."""
 
 import itertools
+import random
+import time
 
 import networkx as nx
-import pytest
 
 from conftest import edge_pairs, random_graph
 from qpkit.canonical import (
-    EXHAUSTIVE_LIMIT,
     _canonical_refined,
+    _code_of_order,
+    _refine,
     canonical_form,
     canonical_graph,
     canonical_key,
     max_codes_batch,
 )
+from qpkit.families import c5_blowup_with_apex, replicate
 from qpkit.graphs import (
+    complement,
     complete_graph,
     cycle_graph,
     empty_graph,
     emit_graph6,
     from_edges,
+    iter_bits,
     permute,
 )
 
@@ -50,8 +55,7 @@ class TestInvariance:
                 assert canonical_key(g) == canonical_key(permute(g, perm))
 
     def test_refined_algorithm_alone(self, rng):
-        # exercised directly so the n > EXHAUSTIVE_LIMIT path gets coverage
-        # at sizes where the exhaustive path normally answers
+        # the search itself, without the lru_cache in front of canonical_form
         for _ in range(40):
             n = rng.randrange(4, 10)
             g = random_graph(rng, n, rng.choice([0.3, 0.7]))
@@ -118,31 +122,121 @@ class TestForm:
             assert canonical_key(empty_graph(n)) == emit_graph6(
                 empty_graph(n)).encode()
 
-    def test_exhaustive_max_code_is_true_max(self, rng):
-        # the n <= EXHAUSTIVE_LIMIT representative maximizes the packed
-        # upper-triangle bit string over every labeling
-        for _ in range(10):
-            n = rng.randrange(2, 6)
-            g = random_graph(rng, n)
-            best = max(
-                emit_graph6(permute(g, list(p)))[1:]
-                for p in itertools.permutations(range(n)))
-            assert canonical_key(g).decode()[1:] == best
+    def test_pruning_keeps_elected_labeling(self, rng):
+        # orbit pruning skips only images of searched subtrees, so the
+        # pruned search elects the same leaf as the unpruned one
+        graphs = [random_graph(rng, rng.randrange(2, 11), rng.choice([0.3, 0.5, 0.7]))
+                  for _ in range(60)]
+        graphs += [_disjoint_cliques(k, 3) for k in (2, 3)]
+        graphs += [complement(g) for g in graphs[-2:]]
+        graphs += [_blowup(4, 2), _blowup(5, 2), cycle_graph(9)]
+        for g in graphs:
+            assert _canonical_refined(g) == _unpruned_order(g)
+
+
+class TestEnumeratedClasses:
+    def test_keys_survive_random_relabelings(self):
+        rnd = random.Random(7)
+        for n in range(8):
+            for g in _all_classes(n):
+                key = canonical_key(g)
+                for _ in range(3):
+                    perm = list(range(n))
+                    rnd.shuffle(perm)
+                    assert canonical_key(permute(g, perm)) == key
+
+    def test_keys_distinct_at_seven(self):
+        keys = [canonical_key(g) for g in _all_classes(7)]
+        assert len(keys) == 1044
+        assert len(set(keys)) == 1044
+
+
+class TestSymmetric:
+    def test_keys_match_networkx(self, rng):
+        # kK3 and C_{3k} share n, m and degrees; each graph also meets a
+        # random relabeling of itself, and its complement one of the
+        # complement (networkx takes seconds on the complemented pairs)
+        base = [_disjoint_cliques(k, 3) for k in range(1, 6)]
+        base += [cycle_graph(3 * k) for k in range(2, 6)]
+        base += [_biclique(6, 6)]
+        base += [_blowup(c, t) for c in (5, 6, 7) for t in (1, 2, 3)]
+        base += [c5_blowup_with_apex(t) for t in (1, 2, 3)]
+        graphs = []
+        for g in base:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs += [g, permute(g, perm)]
+        for a, b in itertools.combinations(graphs, 2):
+            if (a.n, a.m) == (b.n, b.m):
+                assert (canonical_key(a) == canonical_key(b)) == nx.is_isomorphic(
+                    _nx(a), _nx(b))
+        for g in graphs[1::2]:
+            h = complement(g)
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            assert canonical_key(h) == canonical_key(permute(h, perm))
+
+    def test_symmetric_labelings_are_fast(self):
+        # without orbit pruning the search is exponential on these: 5K3
+        # alone takes about half a minute
+        for g in (_disjoint_cliques(5, 3), _disjoint_cliques(8, 3), _biclique(6, 6)):
+            t0 = time.perf_counter()
+            _canonical_refined(g)
+            assert time.perf_counter() - t0 < 5.0
 
 
 class TestBatch:
     def test_matches_single(self, rng):
-        for n in range(2, EXHAUSTIVE_LIMIT + 1):
-            graphs = [random_graph(rng, n) for _ in range(12)]
-            codes = max_codes_batch(graphs, n)
-            singles = [canonical_key(g) for g in graphs]
-            for i in range(len(graphs)):
-                for j in range(i + 1, len(graphs)):
-                    assert (codes[i] == codes[j]) == (singles[i] == singles[j])
+        graphs = [random_graph(rng, 9, p) for p in (0.2, 0.5, 0.8) for _ in range(8)]
+        graphs += [_disjoint_cliques(3, 3), complement(_disjoint_cliques(3, 3)),
+                   cycle_graph(9), empty_graph(9), complete_graph(9)]
+        canonical_form.cache_clear()
+        assert max_codes_batch(graphs, 9) == [canonical_key(g) for g in graphs]
 
-    def test_rejects_large(self):
-        with pytest.raises(ValueError):
-            max_codes_batch([empty_graph(9)], 9)
+
+def _nx(g):
+    x = nx.Graph()
+    x.add_nodes_from(range(g.n))
+    x.add_edges_from(edge_pairs(g))
+    return x
+
+
+def _disjoint_cliques(k, t):
+    return from_edges(k * t, [(i * t + a, i * t + b) for i in range(k)
+                              for a, b in itertools.combinations(range(t), 2)])
+
+
+def _biclique(a, b):
+    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _blowup(c, t):
+    """C_c[t]: every cycle vertex becomes a clique of t copies."""
+    return replicate(cycle_graph(c), [t] * c)
+
+
+def _unpruned_order(g):
+    """The refinement search without orbit pruning: first leaf of best code."""
+    n = g.n
+    if g.m in (0, n * (n - 1) // 2):
+        return tuple(range(n))
+    best = [-1, None]
+
+    def search(cells):
+        cells = _refine(g.adj, cells)
+        if all(c.bit_count() == 1 for c in cells):
+            order = [c.bit_length() - 1 for c in cells]
+            code = _code_of_order(g.adj, order)
+            if code > best[0]:
+                best[:] = [code, tuple(order)]
+            return
+        i = min((i for i, c in enumerate(cells) if c.bit_count() > 1),
+                key=lambda i: cells[i].bit_count())
+        for v in iter_bits(cells[i]):
+            search(cells[:i] + [1 << v, cells[i] & ~(1 << v)] + cells[i + 1:])
+
+    search([g.vertex_mask])
+    return best[1]
 
 
 def _all_classes(n):

@@ -79,8 +79,11 @@ class TestClassify:
 
     def test_limit_env_raises_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("QPKIT_LIMIT", "soon")
-        with pytest.raises(SystemExit):
-            run(["classify", "-"], C5, monkeypatch, capsys)
+        code, _ = run(["classify", "-"], C5, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "QPKIT_LIMIT must be an integer" in captured.err
 
     def test_deterministic(self, monkeypatch, capsys):
         _, out1 = run(["classify", "-"], C5, monkeypatch, capsys)
