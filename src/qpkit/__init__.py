@@ -54,7 +54,6 @@ from .recognition import (
     is_prime_clique,
     is_prime_independent_set,
     is_quasiperfect,
-    leaf_certificate,
     prime_cliques,
     prime_independent_sets,
     verify_certificate,

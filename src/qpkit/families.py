@@ -11,15 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graphs import Graph, bit_members, cycle_graph, from_edges, induced_subgraph, mask_of
-from .invariants import (
-    chromatic_number,
-    clique_number,
-    is_forest,
-    is_perfect,
-    maximum_cliques,
-    maximum_independent_sets,
-)
+from .graphs import Graph, bit_members, cycle_graph, from_edges, induced_subgraph, iter_bits, \
+    mask_of
+from .invariants import is_forest, is_perfect, maximal_cliques, maximum_independent_sets
 from .recognition import is_prime_independent_set, prime_independent_sets
 
 
@@ -191,30 +185,31 @@ def replicate(g: Graph, t: Sequence[int] | Mapping[int, int]) -> Graph:
 
 
 def lovasz_prime_clique(g: Graph) -> int:
-    """Prime clique of a perfect graph via clique replication.
+    """Prime clique of a perfect graph as a maximum-weight clique.
 
-    Each vertex is replicated by the number of maximum independent sets
-    containing it; a maximum clique of the replicated graph projects to
-    a clique meeting every maximum independent set of g, with every
-    member in at least one of them.  Asserts that the replicated graph
-    has clique and chromatic number equal to the count of maximum
-    independent sets.
+    Vertex v weighs the number of maximum independent sets containing it,
+    which is its multiplicity in Lovasz's replication argument: the
+    replicated graph is perfect, so its clique number equals the number
+    of maximum independent sets, and a clique reaching that weight meets
+    every one of them.  Vertices of weight zero lie in none and are left
+    out, so every member is covered.  Ties go to the smallest mask.
     """
     if g.n < 1:
         raise ValueError("needs at least one vertex")
     if not is_perfect(g):
         raise ValueError("input graph is not perfect")
     stables = maximum_independent_sets(g)
-    vec = [sum(1 for s in stables if s >> v & 1) for v in range(g.n)]
-    blown, origins = _replicate_with_origins(g, vec)
-    count = len(stables)
-    omega = clique_number(blown)
-    chi = chromatic_number(blown)
-    if not (omega == chi == count):
+    weight = [sum(1 for s in stables if s >> v & 1) for v in range(g.n)]
+    covered = bit_members(mask_of(v for v in range(g.n) if weight[v]))
+    cliques = [mask_of(covered[i] for i in iter_bits(q))
+               for q in maximal_cliques(induced_subgraph(g, mask_of(covered)))]
+    best = max(cliques, key=lambda q: (sum(weight[v] for v in iter_bits(q)), -q))
+    best_weight = sum(weight[v] for v in iter_bits(best))
+    if best_weight != len(stables):
         raise RuntimeError(
-            f"replication invariant failed: omega={omega} chi={chi} sets={count}")
-    witness = maximum_cliques(blown)[0]
-    return mask_of(origins[v] for v in bit_members(witness))
+            f"replication invariant failed: clique weight {best_weight} "
+            f"for {len(stables)} maximum independent sets")
+    return best
 
 
 def c5_blowup_with_apex(t: int) -> Graph:

@@ -119,9 +119,21 @@ def cycle_graph(n: int) -> Graph:
     return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
+def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph built without validation, for outputs valid by construction.
+
+    Only the constructions below use it; Graph(...), from_edges and the
+    parsers still validate their input.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
-    return Graph(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return _trusted(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
@@ -135,7 +147,7 @@ def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
     for i, v in enumerate(vs):
         for u in iter_bits(g.adj[v] & mask):
             adj[i] |= 1 << pos[u]
-    return Graph(len(vs), tuple(adj))
+    return _trusted(len(vs), tuple(adj))
 
 
 def permute(g: Graph, perm: Iterable[int]) -> Graph:
@@ -149,7 +161,7 @@ def permute(g: Graph, perm: Iterable[int]) -> Graph:
         for u in iter_bits(g.adj[v]):
             row |= 1 << p[u]
         adj[p[v]] = row
-    return Graph(g.n, tuple(adj))
+    return _trusted(g.n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

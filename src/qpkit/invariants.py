@@ -18,7 +18,7 @@ class PerfectionLimitError(RuntimeError):
     """Perfection test requested past the configured vertex limit."""
 
 
-def _maximal_cliques(g: Graph) -> Iterator[int]:
+def maximal_cliques(g: Graph) -> Iterator[int]:
     """Bron-Kerbosch with pivoting; yields maximal clique masks."""
     adj = g.adj
 
@@ -45,7 +45,7 @@ def _maximal_cliques(g: Graph) -> Iterator[int]:
 def clique_number(g: Graph) -> int:
     if g.n == 0:
         return 0
-    return max(c.bit_count() for c in _maximal_cliques(g))
+    return max(c.bit_count() for c in maximal_cliques(g))
 
 
 def maximum_cliques(g: Graph) -> list[int]:
@@ -56,7 +56,7 @@ def maximum_cliques(g: Graph) -> list[int]:
     """
     if g.n == 0:
         return []
-    cliques = list(_maximal_cliques(g))
+    cliques = list(maximal_cliques(g))
     w = max(c.bit_count() for c in cliques)
     return sorted(c for c in cliques if c.bit_count() == w)
 

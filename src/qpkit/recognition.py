@@ -10,8 +10,11 @@ A graph is quasiperfect when it is empty, or when both of these hold:
 Recognition searches candidate prime sets in a fixed order (increasing
 size, then lexicographic), memoizing verdicts per isomorphism class via
 canonical keys.  Accepted classes store a certificate template in
-canonical coordinates; retrieval relabels it onto the queried graph, so
-results are bitwise deterministic for a given configuration.
+canonical coordinates together with the keys of its two residues, so a
+certificate is the set of templates reachable from the queried class: a
+DAG with one node per isomorphism class (maximal sharing, as in
+hash-consing), plus the queried graph's canonical order.  Results are
+bitwise deterministic for a given configuration.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from .graphs import (
     GraphFormatError,
     bit_members,
     complement,
-    emit_graph6,
     induced_subgraph,
     iter_bits,
+    mask_of,
     parse_graph6,
+    permute,
 )
 from .invariants import (
     DEFAULT_PERFECTION_LIMIT,
@@ -44,7 +48,7 @@ from .invariants import (
 DEFAULT_RECOGNITION_LIMIT = 12
 DEFAULT_MEMO_CAPACITY = 1_000_000
 
-CERTIFICATE_SCHEMA = "qpcert-v1"
+CERTIFICATE_SCHEMA = "qpcert-v2"
 
 _K0_KEY = b"?"
 
@@ -58,7 +62,11 @@ class MemoCapacityError(RuntimeError):
 
 
 class InvalidCertificateError(ValueError):
-    """Certificate fails structural validation."""
+    """Certificate fails structural validation; reason names the rule broken."""
+
+    def __init__(self, reason: str, detail: str | None = None) -> None:
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -131,86 +139,118 @@ def is_prime_clique(g: Graph, mask: int) -> bool:
 # ---------------------------------------------------------------------------
 # certificates
 
+Node = tuple[int, int, bytes, bytes]
+
+
 @dataclass(frozen=True)
 class QpCertificate:
-    """Recursive witness for quasiperfection.
+    """Witness for quasiperfection, shared across isomorphic residues.
 
-    pi and pk are vertex masks in the labeling of the certified graph;
-    the children certify the residues (relabeled 0..k-1 in index order).
-    Leaves certify the empty graph.
+    The certified graph relabeled by order (order[p] is the vertex put at
+    slot p) is the graph that key decodes to.  nodes maps the canonical
+    key of every nonempty class the witness reaches to (pi, pk,
+    pi_child, pk_child): a prime independent set and a prime clique as
+    masks over the graph that key decodes to, and the keys of the two
+    residues.  The empty graph has key "?" and no node.
     """
 
     key: bytes
-    pi: int
-    pk: int
-    pi_child: QpCertificate | None
-    pk_child: QpCertificate | None
-    leaf: bool = False
-
-
-def leaf_certificate() -> QpCertificate:
-    return QpCertificate(key=_K0_KEY, pi=0, pk=0, pi_child=None, pk_child=None, leaf=True)
+    order: tuple[int, ...]
+    nodes: dict[bytes, Node]
 
 
 @dataclass(frozen=True)
 class CertificateCheck:
     ok: bool
     reason: str | None = None
+    node: bytes | None = None  # key of the failing node, when one fails
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _fail(reason: str) -> CertificateCheck:
-    return CertificateCheck(False, reason)
+def _fail(reason: str, node: bytes | None = None) -> CertificateCheck:
+    return CertificateCheck(False, reason, node)
+
+
+def _decode(key: bytes | str) -> Graph | None:
+    try:
+        return parse_graph6(key)
+    except GraphFormatError:
+        return None
+
+
+def _verify_node(key: bytes, node: Node) -> CertificateCheck:
+    """Every clause of one node, on the graph its key decodes to."""
+    pi, pk, pi_child, pk_child = node
+    h = _decode(key)
+    if h is None:
+        return _fail("undecodable-key", key)
+    full = h.vertex_mask
+    if pi & ~full or pk & ~full:
+        return _fail("vertex-out-of-range", key)
+    if pi == 0:
+        return _fail("empty-prime-independent-set", key)
+    if pk == 0:
+        return _fail("empty-prime-clique", key)
+
+    for v in iter_bits(pi):
+        if h.adj[v] & pi:
+            return _fail("pi-not-independent", key)
+    cliques = maximum_cliques(h)
+    if any(not (q & pi) for q in cliques):
+        return _fail("pi-misses-maximum-clique", key)
+    if not all(any(q >> v & 1 for q in cliques) for v in iter_bits(pi)):
+        return _fail("pi-vertex-outside-maximum-cliques", key)
+
+    for v in iter_bits(pk):
+        if (pk & ~(1 << v)) & ~h.adj[v]:
+            return _fail("pk-not-clique", key)
+    stables = maximum_independent_sets(h)
+    if any(not (s & pk) for s in stables):
+        return _fail("pk-misses-maximum-independent-set", key)
+    if not all(any(s >> v & 1 for s in stables) for v in iter_bits(pk)):
+        return _fail("pk-vertex-outside-maximum-independent-sets", key)
+
+    if key in (pi_child, pk_child):
+        return _fail("self-reference", key)
+    if canonical_key(induced_subgraph(h, full & ~pi)) != pi_child:
+        return _fail("pi-child-mismatch", key)
+    if canonical_key(induced_subgraph(h, full & ~pk)) != pk_child:
+        return _fail("pk-child-mismatch", key)
+    return CertificateCheck(True)
 
 
 def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
-    """Re-derive every clause of the certificate; no recognition memo involved."""
-    if cert.leaf:
-        if g.n != 0:
-            return _fail("leaf-for-nonempty-graph")
-        if cert.key != _K0_KEY:
-            return _fail("leaf-key-mismatch")
-        return CertificateCheck(True)
-    if g.n == 0:
-        return _fail("interior-node-for-empty-graph")
-    if cert.key != canonical_key(g):
-        return _fail("key-mismatch")
-    if cert.pi_child is None or cert.pk_child is None:
-        return _fail("missing-child")
-    full = g.vertex_mask
-    if cert.pi & ~full or cert.pk & ~full:
-        return _fail("vertex-out-of-range")
-    if cert.pi == 0:
-        return _fail("empty-prime-independent-set")
-    if cert.pk == 0:
-        return _fail("empty-prime-clique")
+    """Re-derive every clause of the certificate; no recognition memo involved.
 
-    for v in iter_bits(cert.pi):
-        if g.adj[v] & cert.pi:
-            return _fail("pi-not-independent")
-    cliques = maximum_cliques(g)
-    if any(not (q & cert.pi) for q in cliques):
-        return _fail("pi-misses-maximum-clique")
-    if not all(any(q >> v & 1 for q in cliques) for v in iter_bits(cert.pi)):
-        return _fail("pi-vertex-outside-maximum-cliques")
-
-    for v in iter_bits(cert.pk):
-        if (cert.pk & ~(1 << v)) & ~g.adj[v]:
-            return _fail("pk-not-clique")
-    stables = maximum_independent_sets(g)
-    if any(not (s & cert.pk) for s in stables):
-        return _fail("pk-misses-maximum-independent-set")
-    if not all(any(s >> v & 1 for s in stables) for v in iter_bits(cert.pk)):
-        return _fail("pk-vertex-outside-maximum-independent-sets")
-
-    sub = verify_certificate(induced_subgraph(g, full & ~cert.pi), cert.pi_child)
-    if not sub:
-        return _fail(f"pi-child:{sub.reason}")
-    sub = verify_certificate(induced_subgraph(g, full & ~cert.pk), cert.pk_child)
-    if not sub:
-        return _fail(f"pk-child:{sub.reason}")
+    Each node reachable from the root is checked once, on the graph its
+    key decodes to, and each child key must be the canonical key of the
+    residue it names.
+    """
+    if len(cert.order) != g.n or sorted(cert.order) != list(range(g.n)):
+        return _fail("order-not-permutation")
+    root = _decode(cert.key)
+    if root is None:
+        return _fail("undecodable-key", cert.key)
+    if root.n != g.n or permute(root, cert.order) != g:
+        return _fail("root-mismatch")
+    seen: set[bytes] = set()
+    stack = [cert.key]
+    while stack:
+        key = stack.pop()
+        if key == _K0_KEY or key in seen:
+            continue
+        seen.add(key)
+        node = cert.nodes.get(key)
+        if node is None:
+            return _fail("missing-node", key)
+        check = _verify_node(key, node)
+        if not check:
+            return check
+        stack += node[2:]
+    if len(seen) != len(cert.nodes):
+        return _fail("unreachable-node", next(k for k in cert.nodes if k not in seen))
     return CertificateCheck(True)
 
 
@@ -223,19 +263,21 @@ def coloring_from_certificate(g: Graph, cert: QpCertificate) -> dict[int, int]:
     """
     check = verify_certificate(g, cert)
     if not check:
-        raise InvalidCertificateError(f"certificate rejected: {check.reason}")
+        raise InvalidCertificateError("certificate-rejected", check.reason)
     colors: dict[int, int] = {}
-    labels = list(range(g.n))
-    cur = g
-    node = cert
+    labels = cert.order  # vertex of g at each slot of the current node's graph
+    key = cert.key
     level = 0
-    while not node.leaf:
-        for v in iter_bits(node.pi):
-            colors[labels[v]] = level
-        keep = cur.vertex_mask & ~node.pi
-        labels = [labels[v] for v in bit_members(keep)]
-        cur = induced_subgraph(cur, keep)
-        node = node.pi_child  # type: ignore[assignment]
+    while key != _K0_KEY:
+        pi, _, key_next, _ = cert.nodes[key]
+        for p in iter_bits(pi):
+            colors[labels[p]] = level
+        h = parse_graph6(key)
+        keep = h.vertex_mask & ~pi
+        kept = [labels[p] for p in bit_members(keep)]
+        _, order = canonical_form(induced_subgraph(h, keep))
+        labels = tuple(kept[v] for v in order)
+        key = key_next
         level += 1
     return colors
 
@@ -245,79 +287,106 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
 
     A prime independent set of a graph is a prime clique of its
     complement with the same vertices, and residues commute with
-    complementation, so the tree transposes branch by branch.  Keys are
-    recomputed by decoding each stored key to its representative graph.
+    complementation, so each node maps to the complement of its class
+    with pi and pk swapped and moved into that class's canonical slots.
     """
-    if cert.leaf:
-        return cert
-    if cert.pi_child is None or cert.pk_child is None:
-        raise InvalidCertificateError("interior certificate node lacks children")
-    try:
-        rep = parse_graph6(cert.key.decode("ascii"))
-    except (GraphFormatError, UnicodeDecodeError) as exc:
-        raise InvalidCertificateError(f"undecodable certificate key: {exc}") from exc
-    new_key = canonical_key(complement(rep))
-    return QpCertificate(
-        key=new_key,
-        pi=cert.pk,
-        pk=cert.pi,
-        pi_child=complement_certificate(cert.pk_child),
-        pk_child=complement_certificate(cert.pi_child),
-    )
+    forms: dict[bytes, tuple[bytes, tuple[int, ...]]] = {_K0_KEY: (_K0_KEY, ())}
+
+    def form(key: bytes) -> tuple[bytes, tuple[int, ...]]:
+        if key not in forms:
+            rep = _decode(key)
+            if rep is None:
+                raise InvalidCertificateError("undecodable-key", repr(key))
+            forms[key] = canonical_form(complement(rep))
+        return forms[key]
+
+    nodes: dict[bytes, Node] = {}
+    for key, (pi, pk, pi_child, pk_child) in cert.nodes.items():
+        new_key, order = form(key)
+        nodes[new_key] = (_to_canonical(pk, order), _to_canonical(pi, order),
+                          form(pk_child)[0], form(pi_child)[0])
+    new_key, order = form(cert.key)
+    return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
 
 def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
-    """Self-contained JSON document (schema qpcert-v1) for a certificate."""
+    """Compact JSON document (schema qpcert-v2) for a certificate of g.
 
-    def node(cur: Graph, c: QpCertificate) -> dict:
-        if c.leaf:
-            return {"leaf": True}
-        full = cur.vertex_mask
-        return {
-            "graph6": emit_graph6(cur),
-            "pi": bit_members(c.pi),
-            "pk": bit_members(c.pk),
-            "pi_child": node(induced_subgraph(cur, full & ~c.pi), c.pi_child),
-            "pk_child": node(induced_subgraph(cur, full & ~c.pk), c.pk_child),
-        }
+    g itself is not stored: it is the root key's graph with slot p moved
+    to vertex order[p].
+    """
+    doc = {
+        "schema": CERTIFICATE_SCHEMA,
+        "key": cert.key.decode("ascii"),
+        "order": list(cert.order),
+        "nodes": {key.decode("ascii"): [bit_members(pi), bit_members(pk),
+                                        pi_child.decode("ascii"), pk_child.decode("ascii")]
+                  for key, (pi, pk, pi_child, pk_child) in cert.nodes.items()},
+    }
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
-    doc = {"schema": CERTIFICATE_SCHEMA}
-    doc.update(node(g, cert))
-    return json.dumps(doc, indent=2) + "\n"
+
+def _read_vertices(raw: object, n: int, where: str) -> list[int]:
+    """Distinct non-bool ints in 0..n-1, or InvalidCertificateError."""
+    if not isinstance(raw, list):
+        raise InvalidCertificateError("malformed-node", f"{where} is not a list")
+    for v in raw:
+        if type(v) is not int:
+            raise InvalidCertificateError("vertex-not-int", f"{where} holds {v!r}")
+        if not 0 <= v < n:
+            raise InvalidCertificateError(
+                "vertex-out-of-range", f"{where} holds {v}, outside 0..{n - 1}")
+    if len(set(raw)) != len(raw):
+        raise InvalidCertificateError("vertex-repeated", f"{where} repeats a vertex")
+    return raw
+
+
+def _read_key(raw: object, where: str) -> Graph:
+    rep = _decode(raw) if isinstance(raw, str) else None
+    if rep is None:
+        raise InvalidCertificateError("undecodable-key", f"{where} {raw!r}")
+    return rep
 
 
 def certificate_from_json(text: str) -> tuple[Graph, QpCertificate]:
+    """Read a qpcert-v2 document back into the certified graph and its certificate.
+
+    Malformed input raises InvalidCertificateError, whose reason names
+    the rule broken; whether the certificate is valid is left to
+    verify_certificate.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidCertificateError(f"not JSON: {exc}") from exc
+        raise InvalidCertificateError("not-json", str(exc)) from exc
     if not isinstance(doc, dict) or doc.get("schema") != CERTIFICATE_SCHEMA:
-        raise InvalidCertificateError(f"expected schema {CERTIFICATE_SCHEMA}")
+        raise InvalidCertificateError("wrong-schema", f"expected {CERTIFICATE_SCHEMA}")
+    raw_nodes = doc.get("nodes")
+    if not isinstance(raw_nodes, dict):
+        raise InvalidCertificateError("malformed-node", "nodes is not an object")
+    root = _read_key(doc.get("key"), "root key")
+    order = _read_vertices(doc.get("order"), root.n, "order")
+    if len(order) != root.n:
+        raise InvalidCertificateError("order-not-permutation", f"{len(order)} slots for {root.n}")
+    graphs = {raw_key: _read_key(raw_key, "node key") for raw_key in raw_nodes}
 
-    def build(node: dict) -> tuple[Graph, QpCertificate]:
-        if node.get("leaf"):
-            return Graph(0, ()), leaf_certificate()
-        try:
-            cur = parse_graph6(node["graph6"])
-            pi = node["pi"]
-            pk = node["pk"]
-            pi_child = node["pi_child"]
-            pk_child = node["pk_child"]
-        except (KeyError, TypeError, GraphFormatError) as exc:
-            raise InvalidCertificateError(f"malformed certificate node: {exc}") from exc
-        pi_mask = 0
-        for v in pi:
-            pi_mask |= 1 << int(v)
-        pk_mask = 0
-        for v in pk:
-            pk_mask |= 1 << int(v)
-        _, pic = build(pi_child)
-        _, pkc = build(pk_child)
-        cert = QpCertificate(
-            key=canonical_key(cur), pi=pi_mask, pk=pk_mask, pi_child=pic, pk_child=pkc)
-        return cur, cert
+    def child(raw: object, where: str) -> bytes:
+        if not isinstance(raw, str) or raw != _K0_KEY.decode() and raw not in graphs:
+            raise InvalidCertificateError("dangling-child", f"{where} names {raw!r}")
+        return raw.encode("ascii")
 
-    return build(doc)
+    nodes: dict[bytes, Node] = {}
+    for raw_key, raw in raw_nodes.items():
+        where = f"node {raw_key!r}"
+        if not isinstance(raw, list) or len(raw) != 4:
+            raise InvalidCertificateError("malformed-node", where)
+        n = graphs[raw_key].n
+        nodes[raw_key.encode("ascii")] = (
+            mask_of(_read_vertices(raw[0], n, f"{where} pi")),
+            mask_of(_read_vertices(raw[1], n, f"{where} pk")),
+            child(raw[2], where), child(raw[3], where))
+    key = child(doc["key"], "root")
+    return permute(root, order), QpCertificate(key, tuple(order), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +408,26 @@ class RecognitionOutcome:
 
 @dataclass
 class _Entry:
+    """Memo entry of one class.
+
+    An accepted class may carry a template: pi and pk in the canonical
+    slots of the class and the keys of their residues.  A class accepted
+    without a search has none until a certificate needs it.
+    """
+
     verdict: bool
     pi_canon: int = 0
     pk_canon: int = 0
-    has_template: bool = False
+    pi_child: bytes | None = None
+    pk_child: bytes | None = None
+
+
+_EMPTY_ENTRY = _Entry(True)
 
 
 def _to_canonical(mask: int, order: tuple[int, ...]) -> int:
     """Vertex mask relabeled into canonical slots (order[p] sits at slot p)."""
     return sum(1 << p for p, v in enumerate(order) if mask >> v & 1)
-
-
-def _from_canonical(mask: int, order: tuple[int, ...]) -> int:
-    """Canonical-slot mask relabeled back onto the original vertices."""
-    return sum(1 << order[p] for p in iter_bits(mask))
 
 
 class RecognitionEngine:
@@ -417,9 +492,10 @@ class RecognitionEngine:
                 f"recognition memo exceeded {self.memo_capacity} entries")
         self._memo[key] = entry
 
-    def _verdict(self, g: Graph) -> bool:
+    def _lookup(self, g: Graph) -> tuple[bytes, _Entry]:
+        """Key and memo entry of g's class, analyzing the class on a miss."""
         if g.n == 0:
-            return True
+            return _K0_KEY, _EMPTY_ENTRY
         if g.n > self.limit:
             raise RecognitionLimitError(
                 f"recognition on {g.n} vertices exceeds limit {self.limit}")
@@ -427,19 +503,22 @@ class RecognitionEngine:
         entry = self._memo.get(key)
         if entry is not None:
             self._hits += 1
-            return entry.verdict
+            return key, entry
         self._nodes += 1
         entry = self._analyze(g)
         self._store(key, entry)
-        return entry.verdict
+        return key, entry
 
-    def _residue(self, g: Graph, mask: int) -> Graph:
-        return induced_subgraph(g, g.vertex_mask & ~mask)
+    def _verdict(self, g: Graph) -> bool:
+        return self._lookup(g)[1].verdict
 
-    def _first_branch(self, g: Graph, candidates: Iterator[int]) -> int | None:
+    def _first_branch(self, g: Graph, candidates: Iterator[int]) -> tuple[int, bytes] | None:
+        """First candidate whose residue is accepted, with the residue's key."""
+        full = g.vertex_mask
         for mask in candidates:
-            if self._verdict(self._residue(g, mask)):
-                return mask
+            key, entry = self._lookup(induced_subgraph(g, full & ~mask))
+            if entry.verdict:
+                return mask, key
         return None
 
     def _analyze(self, g: Graph) -> _Entry:
@@ -451,48 +530,41 @@ class RecognitionEngine:
                 return _Entry(False)
             if self.perfect_shortcut and g.n <= self.perfection_limit:
                 if is_perfect(g, limit=self.perfection_limit):
-                    return _Entry(True)  # certificate derived on demand
+                    return _Entry(True)  # template derived on demand
         pi = self._first_branch(g, prime_independent_sets(g))
         if pi is None and self.reading == "conjunctive":
             return _Entry(False)
         pk = self._first_branch(g, prime_cliques(g))
-        if self.reading == "conjunctive":
-            if pk is None:
-                return _Entry(False)
-        else:
-            if pi is None and pk is None:
-                return _Entry(False)
-            return _Entry(True)
+        if self.reading == "disjunctive":
+            return _Entry(pi is not None or pk is not None)
+        if pk is None:
+            return _Entry(False)
         _, order = canonical_form(g)
-        return _Entry(True, _to_canonical(pi, order), _to_canonical(pk, order),
-                      has_template=True)
+        return _Entry(True, _to_canonical(pi[0], order), _to_canonical(pk[0], order),
+                      pi[1], pk[1])
+
+    def _template(self, key: bytes) -> _Entry:
+        """The accepted entry of key, deriving its template on the decoded graph."""
+        entry = self._memo[key]
+        if entry.pi_child is None:
+            rep = parse_graph6(key)  # its own labeling is the canonical one
+            entry.pi_canon, entry.pi_child = self._first_branch(rep, prime_independent_sets(rep))
+            entry.pk_canon, entry.pk_child = self._first_branch(rep, prime_cliques(rep))
+        return entry
 
     def _materialize(self, g: Graph) -> QpCertificate:
-        if g.n == 0:
-            return leaf_certificate()
+        """The certificate of an accepted g: a walk over memo templates."""
         key, order = canonical_form(g)
-        entry = self._memo.get(key)
-        if entry is None:
-            self._verdict(g)
-            entry = self._memo[key]
-        if not entry.verdict:
-            raise InvalidCertificateError("cannot materialize a rejected graph")
-        if not entry.has_template:
-            pi = self._first_branch(g, prime_independent_sets(g))
-            pk = self._first_branch(g, prime_cliques(g))
-            assert pi is not None and pk is not None
-            entry.pi_canon = _to_canonical(pi, order)
-            entry.pk_canon = _to_canonical(pk, order)
-            entry.has_template = True
-        pi = _from_canonical(entry.pi_canon, order)
-        pk = _from_canonical(entry.pk_canon, order)
-        return QpCertificate(
-            key=key,
-            pi=pi,
-            pk=pk,
-            pi_child=self._materialize(self._residue(g, pi)),
-            pk_child=self._materialize(self._residue(g, pk)),
-        )
+        nodes: dict[bytes, Node] = {}
+        stack = [key]
+        while stack:
+            k = stack.pop()
+            if k == _K0_KEY or k in nodes:
+                continue
+            entry = self._template(k)
+            nodes[k] = (entry.pi_canon, entry.pk_canon, entry.pi_child, entry.pk_child)
+            stack += (entry.pi_child, entry.pk_child)
+        return QpCertificate(key, order, nodes)
 
 
 def is_quasiperfect(

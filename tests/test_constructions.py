@@ -211,6 +211,19 @@ class TestLovaszPrimeClique:
                 count += 1
         assert count == 199  # perfect classes with 1 <= n <= 6
 
+    def test_predicate_on_perfect_graphs_n7(self):
+        perfect = [g for g in enumerate_graphs(7) if is_perfect(g)]
+        assert len(perfect) == 906
+        for g in perfect:
+            assert is_prime_clique(g, lovasz_prime_clique(g)), oracles.graph_edges(g)
+
+    def test_5k2_without_replication(self):
+        # 32 maximum independent sets: replication would need 160 vertices
+        g = from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])
+        pk = lovasz_prime_clique(g)
+        assert bit_members(pk) == [0, 1]
+        assert is_prime_clique(g, pk)
+
 
 class TestBlowupCounterexample:
     @pytest.mark.parametrize("t,n,omega,chi", [

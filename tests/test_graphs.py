@@ -160,6 +160,31 @@ class TestGraph6:
         assert parse_graph6(emit_graph6(g)) == g
 
 
+class TestUnvalidatedConstructions:
+    """complement, induced_subgraph and permute skip Graph validation."""
+
+    def test_outputs_equal_validated_graphs(self, rng):
+        for _ in range(60):
+            n = rng.randrange(0, 12)
+            g = random_graph(rng, n, rng.random())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            outs = [complement(g), permute(g, perm),
+                    induced_subgraph(g, rng.getrandbits(n) if n else 0)]
+            for h in outs:
+                assert type(h) is Graph
+                validated = Graph(h.n, h.adj)  # raises if h were malformed
+                assert h == validated and hash(h) == hash(validated)
+
+    def test_public_constructors_still_validate(self):
+        with pytest.raises(GraphFormatError):
+            Graph(2, (0b10, 0))  # asymmetric
+        with pytest.raises(GraphFormatError):
+            from_edges(2, [(0, 2)])
+        with pytest.raises(GraphFormatError):
+            parse_edge_list("2 1\n0 0\n")
+
+
 class TestEdgeList:
     def test_roundtrip(self):
         g = from_edges(4, [(0, 2), (1, 3)])

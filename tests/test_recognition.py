@@ -1,13 +1,16 @@
 """Recognition engine, prime-set predicates, and certificate machinery."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
 from qpkit.canonical import canonical_key
-from qpkit.families import FamilySpec, odd_cycle_family
+from qpkit.families import FamilySpec, odd_cycle_family, replicate
 from qpkit.graphs import (
     bit_members,
     complement,
@@ -34,7 +37,6 @@ from qpkit.recognition import (
     is_prime_clique,
     is_prime_independent_set,
     is_quasiperfect,
-    leaf_certificate,
     prime_cliques,
     prime_independent_sets,
     verify_certificate,
@@ -189,30 +191,72 @@ class TestRecognition:
         assert out.certificate is None
 
 
+def _empty_certificate():
+    return is_quasiperfect(empty_graph(0)).certificate
+
+
+def _with_node(cert, key, **changes):
+    """cert with one node's fields replaced (pi, pk, pi_child, pk_child)."""
+    pi, pk, pi_child, pk_child = cert.nodes[key]
+    fields = {"pi": pi, "pk": pk, "pi_child": pi_child, "pk_child": pk_child, **changes}
+    nodes = dict(cert.nodes)
+    nodes[key] = (fields["pi"], fields["pk"], fields["pi_child"], fields["pk_child"])
+    return replace(cert, nodes=nodes)
+
+
 class TestCertificates:
     def _family_cert(self):
         fg = odd_cycle_family(FamilySpec(5, (1,)))
         out = is_quasiperfect(fg.graph)
         return fg.graph, out.certificate
 
+    def _inner_key(self, cert):
+        """A node key below the root whose class has a node of its own."""
+        return next(k for k in cert.nodes[cert.key][2:] if k in cert.nodes)
+
     def test_leaf(self):
-        assert verify_certificate(empty_graph(0), leaf_certificate())
+        cert = _empty_certificate()
+        assert cert == QpCertificate(b"?", (), {})
+        assert verify_certificate(empty_graph(0), cert)
 
     def test_leaf_wrong_graph(self):
-        chk = verify_certificate(complete_graph(1), leaf_certificate())
+        chk = verify_certificate(complete_graph(1), _empty_certificate())
         assert not chk
-        assert chk.reason == "leaf-for-nonempty-graph"
+        assert chk.reason == "order-not-permutation"
+
+    def test_shares_isomorphic_residues(self):
+        g, cert = self._family_cert()
+        for key in cert.nodes:
+            assert parse_graph6(key).n < g.n or key == cert.key
+        assert len(cert.nodes) == len(set(cert.nodes))
+        # every class reached once, however many paths lead to it
+        children = [c for node in cert.nodes.values() for c in node[2:] if c != b"?"]
+        assert len(children) > len(set(children))
 
     def test_verify_rejects_tampered_pi(self):
         g, cert = self._family_cert()
-        bad = QpCertificate(
-            key=cert.key, pi=cert.pi | cert.pk, pk=cert.pk,
-            pi_child=cert.pi_child, pk_child=cert.pk_child)
-        chk = verify_certificate(g, bad)
+        pi, pk, _, _ = cert.nodes[cert.key]
+        chk = verify_certificate(g, _with_node(cert, cert.key, pi=pi | pk))
         assert not chk
+        assert chk.node == cert.key
         assert chk.reason in ("pi-not-independent", "pi-misses-maximum-clique",
-                              "pi-vertex-outside-maximum-cliques",
-                              "key-mismatch")
+                              "pi-vertex-outside-maximum-cliques", "pi-child-mismatch")
+
+    def test_verify_rejects_tampered_pk(self):
+        g, cert = self._family_cert()
+        pi, pk, _, _ = cert.nodes[cert.key]
+        chk = verify_certificate(g, _with_node(cert, cert.key, pk=pk | pi))
+        assert not chk
+        assert chk.node == cert.key
+        assert chk.reason in ("pk-not-clique", "pk-misses-maximum-independent-set",
+                              "pk-vertex-outside-maximum-independent-sets",
+                              "pk-child-mismatch")
+
+    def test_verify_rejects_out_of_range_vertex(self):
+        g, cert = self._family_cert()
+        pi, _, _, _ = cert.nodes[cert.key]
+        chk = verify_certificate(g, _with_node(cert, cert.key, pi=pi | 1 << g.n))
+        assert (chk.ok, chk.reason, chk.node) == (False, "vertex-out-of-range", cert.key)
 
     def test_verify_rejects_wrong_graph(self):
         g, cert = self._family_cert()
@@ -221,16 +265,53 @@ class TestCertificates:
 
     def test_verify_reports_deep_failures(self):
         g, cert = self._family_cert()
-        # corrupt one level down
-        bad_child = QpCertificate(
-            key=cert.pi_child.key, pi=0, pk=cert.pi_child.pk,
-            pi_child=cert.pi_child.pi_child, pk_child=cert.pi_child.pk_child,
-            leaf=cert.pi_child.leaf)
-        bad = QpCertificate(key=cert.key, pi=cert.pi, pk=cert.pk,
-                            pi_child=bad_child, pk_child=cert.pk_child)
-        chk = verify_certificate(g, bad)
+        inner = self._inner_key(cert)
+        chk = verify_certificate(g, _with_node(cert, inner, pi=0))
         assert not chk
-        assert chk.reason.startswith("pi-child:")
+        assert chk.reason == "empty-prime-independent-set"
+        assert chk.node == inner != cert.key
+
+    def test_verify_rejects_child_of_wrong_class(self):
+        g, cert = self._family_cert()
+        _, _, pi_child, pk_child = cert.nodes[cert.key]
+        wrong = next(k for k in cert.nodes if k not in (pi_child, cert.key))
+        chk = verify_certificate(g, _with_node(cert, cert.key, pi_child=wrong))
+        assert (chk.ok, chk.reason, chk.node) == (False, "pi-child-mismatch", cert.key)
+
+    def test_verify_rejects_order_not_permutation(self):
+        g, cert = self._family_cert()
+        bad = replace(cert, order=(0,) + cert.order[1:])
+        assert verify_certificate(g, bad).reason == "order-not-permutation"
+        short = replace(cert, order=cert.order[1:])
+        assert verify_certificate(g, short).reason == "order-not-permutation"
+
+    def test_verify_rejects_order_mapping_elsewhere(self):
+        g, cert = self._family_cert()
+        order = list(cert.order)
+        order[0], order[-1] = order[-1], order[0]  # not an automorphism here
+        chk = verify_certificate(g, replace(cert, order=tuple(order)))
+        assert chk.reason == "root-mismatch"
+
+    def test_verify_rejects_missing_node(self):
+        g, cert = self._family_cert()
+        inner = self._inner_key(cert)
+        nodes = {k: v for k, v in cert.nodes.items() if k != inner}
+        chk = verify_certificate(g, replace(cert, nodes=nodes))
+        assert (chk.ok, chk.reason, chk.node) == (False, "missing-node", inner)
+
+    def test_verify_rejects_unreachable_node(self):
+        g, cert = self._family_cert()
+        other = is_quasiperfect(complete_graph(5)).certificate
+        assert other.key not in cert.nodes
+        nodes = {**cert.nodes, other.key: other.nodes[other.key]}
+        chk = verify_certificate(g, replace(cert, nodes=nodes))
+        assert (chk.ok, chk.reason, chk.node) == (False, "unreachable-node", other.key)
+
+    def test_verify_rejects_self_reference(self):
+        g, cert = self._family_cert()
+        inner = self._inner_key(cert)
+        chk = verify_certificate(g, _with_node(cert, inner, pk_child=inner))
+        assert (chk.ok, chk.reason, chk.node) == (False, "self-reference", inner)
 
     def test_coloring_proper_with_omega_colors(self):
         eng = RecognitionEngine()
@@ -258,11 +339,13 @@ class TestCertificates:
         g, cert = self._family_cert()
         blob = certificate_to_json(g, cert)
         doc = json.loads(blob)
-        assert doc["schema"] == "qpcert-v1"
+        assert doc["schema"] == "qpcert-v2"
+        assert doc["key"] == cert.key.decode() and doc["order"] == list(cert.order)
         g2, cert2 = certificate_from_json(blob)
         assert g2 == g
         assert cert2 == cert
         assert verify_certificate(g2, cert2)
+        assert certificate_to_json(g2, cert2) == blob
 
     def test_json_deterministic(self):
         g, cert = self._family_cert()
@@ -273,6 +356,137 @@ class TestCertificates:
             certificate_from_json("{}")
         with pytest.raises(InvalidCertificateError):
             certificate_from_json(json.dumps({"schema": "nope"}))
+        with pytest.raises(InvalidCertificateError) as err:
+            certificate_from_json(json.dumps({"schema": "qpcert-v1", "leaf": True}))
+        assert err.value.reason == "wrong-schema"
+
+
+class TestCertificateReader:
+    """The reader takes only well-formed documents, each fault with its reason."""
+
+    def _doc(self):
+        g = odd_cycle_family(FamilySpec(5, (1,))).graph
+        cert = is_quasiperfect(g).certificate
+        return json.loads(certificate_to_json(g, cert)), cert.key.decode()
+
+    def _reason(self, doc):
+        with pytest.raises(InvalidCertificateError) as err:
+            certificate_from_json(json.dumps(doc))
+        return err.value.reason
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["pi", "pk"])
+    @pytest.mark.parametrize("vertex,reason", [
+        (-1, "vertex-out-of-range"),
+        (2 ** 40, "vertex-out-of-range"),
+        (6, "vertex-out-of-range"),
+        (True, "vertex-not-int"),
+        ("1", "vertex-not-int"),
+        (1.5, "vertex-not-int"),
+        (None, "vertex-not-int"),
+    ], ids=["minus-1", "2-to-40", "n", "true", "string", "float", "null"])
+    def test_bad_vertex(self, field, vertex, reason):
+        doc, root = self._doc()
+        doc["nodes"][root][field] = [vertex]
+        assert self._reason(doc) == reason
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["pi", "pk"])
+    def test_repeated_vertex(self, field):
+        doc, root = self._doc()
+        doc["nodes"][root][field] = [0, 0]
+        assert self._reason(doc) == "vertex-repeated"
+
+    @pytest.mark.parametrize("slot", [2, 3], ids=["pi_child", "pk_child"])
+    @pytest.mark.parametrize("child", ["D??", "not graph6 \u00e9", 7, None])
+    def test_dangling_child(self, slot, child):
+        doc, root = self._doc()
+        doc["nodes"][root][slot] = child
+        assert self._reason(doc) == "dangling-child"
+
+    def test_dangling_root(self):
+        doc, root = self._doc()
+        del doc["nodes"][root]
+        assert self._reason(doc) == "dangling-child"
+
+    def test_order_not_permutation(self):
+        doc, _ = self._doc()
+        doc["order"] = doc["order"][:-1]
+        assert self._reason(doc) == "order-not-permutation"
+        doc["order"] = [0] * 6
+        assert self._reason(doc) == "vertex-repeated"
+        doc["order"] = [True, 0, 2, 3, 4, 5]
+        assert self._reason(doc) == "vertex-not-int"
+
+    def test_malformed_node(self):
+        doc, root = self._doc()
+        doc["nodes"][root] = doc["nodes"][root][:3]
+        assert self._reason(doc) == "malformed-node"
+        doc["nodes"] = []
+        assert self._reason(doc) == "malformed-node"
+
+    def test_undecodable_key(self):
+        doc, root = self._doc()
+        doc["key"] = "~~~"
+        assert self._reason(doc) == "undecodable-key"
+        doc, root = self._doc()
+        doc["nodes"]["D"] = doc["nodes"].pop(root)
+        assert self._reason(doc) == "undecodable-key"
+        doc, root = self._doc()
+        doc["nodes"][root][2] = "\u00e9"
+        doc["nodes"]["\u00e9"] = doc["nodes"][root]
+        assert self._reason(doc) == "undecodable-key"
+
+
+def _disjoint_cliques(k, t):
+    return from_edges(k * t, [(i * t + a, i * t + b) for i in range(k)
+                              for a in range(t) for b in range(a + 1, t)])
+
+
+def _named_graphs():
+    rook = from_edges(12, [(x, y) for x in range(12) for y in range(x + 1, 12)
+                           if x // 4 == y // 4 or x % 4 == y % 4])
+    named = {f"{k}K2": _disjoint_cliques(k, 2) for k in range(1, 7)}
+    named.update({f"{k}K3": _disjoint_cliques(k, 3) for k in range(1, 5)})
+    named.update({"C5[2]": replicate(cycle_graph(5), [2] * 5), "K3xK4": rook})
+    return named
+
+
+_PROPERTY_ENGINE = RecognitionEngine()
+
+
+def _check_certificate_properties(g):
+    out = _PROPERTY_ENGINE.recognize(g)
+    if not out.quasiperfect:
+        return
+    cert = out.certificate
+    chk = verify_certificate(g, cert)
+    assert chk, chk.reason
+    text = certificate_to_json(g, cert)
+    g2, cert2 = certificate_from_json(text)
+    assert (g2, cert2) == (g, cert)
+    assert certificate_to_json(g2, cert2) == text
+    dual = complement_certificate(cert)
+    chk = verify_certificate(complement(g), dual)
+    assert chk, chk.reason
+    coloring = coloring_from_certificate(g, cert)
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
+    assert len(set(coloring.values())) == clique_number(g)
+
+
+class TestCertificateProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 9), st.data())
+    def test_random_graphs(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                           if pairs else st.just([]))
+        _check_certificate_properties(from_edges(n, chosen))
+
+    @pytest.mark.parametrize("name", list(_named_graphs()))
+    def test_symmetric_graphs(self, name):
+        g = _named_graphs()[name]
+        _check_certificate_properties(g)
+        if name != "C5[2]":  # omega 4 < chi 5
+            assert _PROPERTY_ENGINE.is_quasiperfect(g)
 
 
 class TestComplementDuality:
@@ -297,15 +511,20 @@ class TestComplementDuality:
                 count += 1
         assert count > 40
 
-    def test_double_complement_is_identity(self):
+    def test_double_complement_same_classes(self):
+        # masks sit in canonical slots, and the two labelings of a class and
+        # of its complement differ by an automorphism, so complementing twice
+        # may move a node's masks by one; the classes and children stay put
         fg = odd_cycle_family(FamilySpec(5, (1, 3)))
-        out = is_quasiperfect(fg.graph)
-        cc = complement_certificate(complement_certificate(out.certificate))
-        # keys are canonical, so a double transpose reproduces the original
-        assert cc == out.certificate
+        cert = is_quasiperfect(fg.graph).certificate
+        cc = complement_certificate(complement_certificate(cert))
+        assert verify_certificate(fg.graph, cc)
+        assert cc.key == cert.key
+        assert {k: v[2:] for k, v in cc.nodes.items()} == \
+            {k: v[2:] for k, v in cert.nodes.items()}
 
     def test_leaf_self_dual(self):
-        assert complement_certificate(leaf_certificate()) == leaf_certificate()
+        assert complement_certificate(_empty_certificate()) == _empty_certificate()
 
 
 class TestEngineAgainstKnownGraphs:
