@@ -200,14 +200,17 @@ def lovasz_prime_clique(g: Graph) -> int:
         raise ValueError("input graph is not perfect")
     stables = maximum_independent_sets(g)
     weight = [sum(1 for s in stables if s >> v & 1) for v in range(g.n)]
-    covered = bit_members(mask_of(v for v in range(g.n) if weight[v]))
+
+    def weigh(q: int) -> int:
+        return sum(weight[v] for v in iter_bits(q))
+
+    covered = [v for v in range(g.n) if weight[v]]
     cliques = [mask_of(covered[i] for i in iter_bits(q))
-               for q in maximal_cliques(induced_subgraph(g, mask_of(covered)))]
-    best = max(cliques, key=lambda q: (sum(weight[v] for v in iter_bits(q)), -q))
-    best_weight = sum(weight[v] for v in iter_bits(best))
-    if best_weight != len(stables):
+               for q in maximal_cliques(induced_subgraph(g, covered))]
+    best = max(cliques, key=lambda q: (weigh(q), -q))
+    if weigh(best) != len(stables):
         raise RuntimeError(
-            f"replication invariant failed: clique weight {best_weight} "
+            f"replication invariant failed: clique weight {weigh(best)} "
             f"for {len(stables)} maximum independent sets")
     return best
 

@@ -450,13 +450,16 @@ def _named_graphs():
     return named
 
 
-_PROPERTY_ENGINE = RecognitionEngine()
+@pytest.fixture(scope="module")
+def shared_engine():
+    return RecognitionEngine()
 
 
-def _check_certificate_properties(g):
-    out = _PROPERTY_ENGINE.recognize(g)
+def _check_certificate_properties(engine, g):
+    """Verdict of g, checking every property of its certificate."""
+    out = engine.recognize(g)
     if not out.quasiperfect:
-        return
+        return False
     cert = out.certificate
     chk = verify_certificate(g, cert)
     assert chk, chk.reason
@@ -470,23 +473,22 @@ def _check_certificate_properties(g):
     coloring = coloring_from_certificate(g, cert)
     assert all(coloring[u] != coloring[v] for u, v in g.edges())
     assert len(set(coloring.values())) == clique_number(g)
+    return True
 
 
 class TestCertificateProperties:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 9), st.data())
-    def test_random_graphs(self, n, data):
+    def test_random_graphs(self, shared_engine, n, data):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)
                            if pairs else st.just([]))
-        _check_certificate_properties(from_edges(n, chosen))
+        _check_certificate_properties(shared_engine, from_edges(n, chosen))
 
     @pytest.mark.parametrize("name", list(_named_graphs()))
-    def test_symmetric_graphs(self, name):
-        g = _named_graphs()[name]
-        _check_certificate_properties(g)
-        if name != "C5[2]":  # omega 4 < chi 5
-            assert _PROPERTY_ENGINE.is_quasiperfect(g)
+    def test_symmetric_graphs(self, shared_engine, name):
+        accepted = _check_certificate_properties(shared_engine, _named_graphs()[name])
+        assert accepted == (name != "C5[2]")  # C5[2] has omega 4 < chi 5
 
 
 class TestComplementDuality:
