@@ -25,7 +25,7 @@ from .harness import (
     verify_theorem1,
     verify_theorem2,
 )
-from .invariants import PerfectionChecker, PerfectionLimitError
+from .invariants import PerfectionLimitError
 from .recognition import (
     DEFAULT_RECOGNITION_LIMIT,
     MemoCapacityError,
@@ -47,6 +47,17 @@ def _recognition_limit() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"{LIMIT_ENV} must be an integer, got {raw!r}") from exc
+
+
+def _thread_count(raw: str) -> int:
+    """The --threads value: a number of worker processes, at least 1."""
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {raw!r}")
+    return threads
 
 
 def _read_text(path: str) -> str:
@@ -78,7 +89,6 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_classify(args: argparse.Namespace) -> int:
     graphs = _load_graphs(_read_text(args.input), args.format)
     engine = RecognitionEngine(mode=args.mode, limit=_recognition_limit())
-    checker = PerfectionChecker()
     lines = []
     for idx, g in enumerate(graphs):
         cert_ref = None
@@ -89,8 +99,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 f"{stem.stem}-{idx}{stem.suffix}")
             path.write_text(certificate_to_json(g, outcome.certificate))
             cert_ref = str(path)
-        record = build_classification_record(
-            g, engine=engine, checker=checker, cert_ref=cert_ref)
+        record = build_classification_record(g, engine=engine, cert_ref=cert_ref)
         lines.append(json.dumps(record.to_dict()))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -213,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("theorem1", "theorem2", "perfect-subset",
                                      "color-removal", "all"))
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("survey", help="run reporting-only sweeps")
     p.add_argument("survey", choices=("color-removal", "reading-divergence"))
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--all-colorings", action="store_true",
                    help="sweep every optimal coloring (n-max <= 5)")
     p.add_argument("--out", default=None)

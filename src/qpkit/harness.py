@@ -28,6 +28,7 @@ from .invariants import (
     chromatic_number,
     clique_number,
     independence_number,
+    is_perfect,
     optimal_colorings,
 )
 from .families import lovasz_prime_clique
@@ -202,17 +203,10 @@ def _disjunctive_engine() -> RecognitionEngine:
     return eng
 
 
-def _checker() -> PerfectionChecker:
-    chk = _state.get("checker")
-    if chk is None:
-        chk = PerfectionChecker()
-        _state["checker"] = chk
-    return chk
-
-
 def _parallel(fn, items: list, threads: int) -> list:
     if threads <= 1 or len(items) < 2:
         return [fn(x) for x in items]
+    threads = min(threads, len(items))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=threads) as pool:
         chunk = max(1, len(items) // (threads * 4))
@@ -242,7 +236,7 @@ def _theorem2_item(g6: str) -> tuple[str, bool]:
 
 def _perfect_subset_item(g6: str) -> tuple[str, bool]:
     g = parse_graph6(g6)
-    if not _checker().is_perfect(g):
+    if not is_perfect(g):
         return g6, True
     if not _pure_engine().is_quasiperfect(g):
         return g6, False

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .canonical import canonical_key
-from .graphs import Graph, bit_members, complement, induced_subgraph, iter_bits
+from .graphs import Graph, bit_members, complement, iter_bits
 
 DEFAULT_PERFECTION_LIMIT = 10
 
@@ -273,48 +272,53 @@ def is_block_graph(g: Graph) -> bool:
     return True
 
 
-class PerfectionChecker:
-    """Hereditary omega = chi test, memoized on canonical keys.
+def _has_odd_hole(g: Graph) -> bool:
+    """True when g has an induced cycle of odd length at least 5.
 
-    The memo maps a canonical key to the verdict for that isomorphism
-    class.  Entries are idempotent, so concurrent last-write-wins updates
-    are safe.
+    Every hole has a lowest vertex s.  Walked from s, a hole is a
+    chordless path s, p1, ..., pk over vertices above s that meets the
+    neighbourhood of s only at p1, closed by one more neighbour of s.
+    So growing chordless paths from each s through vertices above s,
+    and closing a path at the first neighbour of s it reaches, meets
+    every hole.  blocked holds the path after s and the neighbours of
+    every path vertex but the last, none of which may come next.
+    """
+    adj = g.adj
+    for s in range(g.n):
+        above = g.vertex_mask & ~((2 << s) - 1)
+        ring = adj[s] & above
+        stack = [(p, 2, 1 << p) for p in iter_bits(ring)]
+        while stack:
+            last, length, blocked = stack.pop()
+            for v in iter_bits(adj[last] & above & ~blocked):
+                if ring >> v & 1:
+                    # the cycle closed at v has length + 1 vertices
+                    if length >= 4 and length % 2 == 0:
+                        return True
+                else:
+                    stack.append((v, length + 1, blocked | adj[last]))
+    return False
+
+
+class PerfectionChecker:
+    """Perfection test for graphs of at most limit vertices.
+
+    By the Strong Perfect Graph Theorem (Chudnovsky, Robertson, Seymour
+    and Thomas, Ann. Math. 164, 2006) a graph is perfect, every induced
+    subgraph having equal clique and chromatic numbers, exactly when
+    neither it nor its complement has an odd hole.
     """
 
     def __init__(self, limit: int = DEFAULT_PERFECTION_LIMIT) -> None:
         self.limit = limit
-        self._memo: dict[bytes, bool] = {}
 
     def is_perfect(self, g: Graph) -> bool:
         if g.n > self.limit:
             raise PerfectionLimitError(
                 f"perfection test on {g.n} vertices exceeds limit {self.limit}")
-        return self._check(g)
-
-    def _check(self, g: Graph) -> bool:
-        if g.n == 0:
-            return True
-        key = canonical_key(g)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        ok = clique_number(g) == chromatic_number(g)
-        if ok:
-            full = g.vertex_mask
-            for v in range(g.n):
-                if not self._check(induced_subgraph(g, full & ~(1 << v))):
-                    ok = False
-                    break
-        self._memo[key] = ok
-        return ok
+        return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
 
 
-_shared_checker = PerfectionChecker()
-
-
-def is_perfect(g: Graph, *, limit: int = DEFAULT_PERFECTION_LIMIT,
-               checker: PerfectionChecker | None = None) -> bool:
+def is_perfect(g: Graph, *, limit: int = DEFAULT_PERFECTION_LIMIT) -> bool:
     """True when every induced subgraph has equal clique and chromatic numbers."""
-    if checker is None:
-        checker = _shared_checker if limit == _shared_checker.limit else PerfectionChecker(limit)
-    return checker.is_perfect(g)
+    return PerfectionChecker(limit).is_perfect(g)

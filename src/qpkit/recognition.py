@@ -37,10 +37,8 @@ from .graphs import (
     permute,
 )
 from .invariants import (
-    DEFAULT_PERFECTION_LIMIT,
     chromatic_number,
     clique_number,
-    is_perfect,
     maximum_cliques,
     maximum_independent_sets,
 )
@@ -410,9 +408,9 @@ class RecognitionOutcome:
 class _Entry:
     """Memo entry of one class.
 
-    An accepted class may carry a template: pi and pk in the canonical
-    slots of the class and the keys of their residues.  A class accepted
-    without a search has none until a certificate needs it.
+    A class accepted under the conjunctive reading carries its template:
+    pi and pk in the canonical slots of the class and the keys of their
+    residues.
     """
 
     verdict: bool
@@ -434,11 +432,10 @@ class RecognitionEngine:
     """Memoized quasiperfect recognizer.
 
     mode 'pure' applies the definition only; 'accelerated' may reject
-    early when clique and chromatic numbers differ and, with
-    perfect_shortcut set, accept perfect graphs without searching.
-    reading 'conjunctive' demands both prime branches; 'disjunctive'
-    accepts either one and exists only for divergence reporting, so it
-    produces no certificates.
+    early when clique and chromatic numbers differ.  reading
+    'conjunctive' demands both prime branches; 'disjunctive' accepts
+    either one and exists only for divergence reporting, so it produces
+    no certificates.
     """
 
     def __init__(
@@ -447,9 +444,7 @@ class RecognitionEngine:
         mode: str = "accelerated",
         limit: int = DEFAULT_RECOGNITION_LIMIT,
         reading: str = "conjunctive",
-        perfect_shortcut: bool = False,
         memo_capacity: int = DEFAULT_MEMO_CAPACITY,
-        perfection_limit: int = DEFAULT_PERFECTION_LIMIT,
     ) -> None:
         if mode not in ("pure", "accelerated"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -458,9 +453,7 @@ class RecognitionEngine:
         self.mode = mode
         self.limit = limit
         self.reading = reading
-        self.perfect_shortcut = perfect_shortcut
         self.memo_capacity = memo_capacity
-        self.perfection_limit = perfection_limit
         self._memo: dict[bytes, _Entry] = {}
         self._nodes = 0
         self._hits = 0
@@ -523,14 +516,11 @@ class RecognitionEngine:
 
     def _analyze(self, g: Graph) -> _Entry:
         if self.mode == "accelerated" and self.reading == "conjunctive":
-            # both shortcuts lean on the conjunctive reading: the coloring
+            # the early rejection leans on the conjunctive reading: the coloring
             # argument rides the PI chain, so a one-sided acceptance under
             # the disjunctive reading may well have unequal invariants
             if clique_number(g) != chromatic_number(g):
                 return _Entry(False)
-            if self.perfect_shortcut and g.n <= self.perfection_limit:
-                if is_perfect(g, limit=self.perfection_limit):
-                    return _Entry(True)  # template derived on demand
         pi = self._first_branch(g, prime_independent_sets(g))
         if pi is None and self.reading == "conjunctive":
             return _Entry(False)
@@ -543,15 +533,6 @@ class RecognitionEngine:
         return _Entry(True, _to_canonical(pi[0], order), _to_canonical(pk[0], order),
                       pi[1], pk[1])
 
-    def _template(self, key: bytes) -> _Entry:
-        """The accepted entry of key, deriving its template on the decoded graph."""
-        entry = self._memo[key]
-        if entry.pi_child is None:
-            rep = parse_graph6(key)  # its own labeling is the canonical one
-            entry.pi_canon, entry.pi_child = self._first_branch(rep, prime_independent_sets(rep))
-            entry.pk_canon, entry.pk_child = self._first_branch(rep, prime_cliques(rep))
-        return entry
-
     def _materialize(self, g: Graph) -> QpCertificate:
         """The certificate of an accepted g: a walk over memo templates."""
         key, order = canonical_form(g)
@@ -561,7 +542,7 @@ class RecognitionEngine:
             k = stack.pop()
             if k == _K0_KEY or k in nodes:
                 continue
-            entry = self._template(k)
+            entry = self._memo[k]
             nodes[k] = (entry.pi_canon, entry.pk_canon, entry.pi_child, entry.pk_child)
             stack += (entry.pi_child, entry.pk_child)
         return QpCertificate(key, order, nodes)

@@ -168,6 +168,17 @@ class TestVerify:
         assert da == db
 
 
+class TestThreads:
+    @pytest.mark.parametrize("argv", [["verify", "theorem1"],
+                                      ["survey", "reading-divergence"]])
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_below_one_exits_2(self, capsys, argv, threads):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n-max", "2", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 class TestSurvey:
     def test_color_removal(self, capsys):
         code = main(["survey", "color-removal", "--n-max", "4"])
@@ -212,3 +223,20 @@ class TestConsoleScript:
         for d in docs:
             d.pop("stats")
         assert docs[0] == docs[1]
+
+
+class TestImports:
+    def test_no_runtime_dependency(self):
+        # only what `import qpkit.cli` itself loads: site start-up may load
+        # third-party modules of its own before any user code runs, and
+        # multiprocessing files the main module again as __mp_main__
+        probe = ("import json, sys; before = set(sys.modules); import qpkit.cli; "
+                 "print(json.dumps(sorted(name for name in set(sys.modules) - before "
+                 "if sys.modules[name] is not sys.modules['__main__'])))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True)
+        loaded = json.loads(proc.stdout)
+        assert "qpkit.cli" in loaded
+        foreign = [name for name in loaded
+                   if name.partition(".")[0] not in sys.stdlib_module_names | {"qpkit"}]
+        assert foreign == []

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import oracles
+from qpkit import harness
 from qpkit.canonical import canonical_key
 from qpkit.graphs import (
     complete_graph,
@@ -142,6 +143,33 @@ class TestTheoremSuites:
             doc.pop("stats")
             doc["config"].pop("threads")
         assert serial == threaded
+
+    @pytest.mark.parametrize("n_max,threads,processes", [(2, 64, 4), (4, 3, 3)])
+    def test_pool_never_larger_than_items(self, monkeypatch, n_max, threads, processes):
+        opened = []
+
+        class RecordingPool:
+            # stands in for multiprocessing's Pool so no process is started
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(x) for x in items]
+
+        class Context:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: Context)
+        report = verify_theorem1(n_max, threads=threads)
+        assert opened == [processes]
+        assert report.passed
+        assert report.config["threads"] == threads  # the request is echoed as given
 
     def test_report_shape(self):
         report = verify_theorem1(4)

@@ -4,11 +4,14 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import edge_pairs, random_graph
 from qpkit.graphs import (
     bit_members,
+    complement,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -194,9 +197,39 @@ class TestPerfection:
                 assert checker.is_perfect(g) == oracles.oracle_is_perfect(
                     n, edges), edges
 
+    def test_against_hereditary_definition(self):
+        for n in range(8):
+            for g in enumerate_graphs(n):
+                edges = oracles.graph_edges(g)
+                assert is_perfect(g) == oracles.hereditary_is_perfect(n, edges), edges
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10), st.data())
+    def test_random_against_hereditary_definition(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]))
+        assert is_perfect(from_edges(n, edges)) == oracles.hereditary_is_perfect(n, edges)
+
+    @pytest.mark.parametrize("k", range(5, 11))
+    def test_cycles_and_their_complements(self, k):
+        # C_k is an odd hole and its complement an odd antihole exactly when k is odd
+        assert is_perfect(cycle_graph(k)) == (k % 2 == 0)
+        assert is_perfect(complement(cycle_graph(k))) == (k % 2 == 0)
+
+    def test_named_graphs(self):
+        petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                              + [(i, i + 5) for i in range(5)])
+        k33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        rook = from_edges(9, [(x, y) for x, y in itertools.combinations(range(9), 2)
+                              if x // 3 == y // 3 or x % 3 == y % 3])
+        assert not is_perfect(petersen)
+        assert is_perfect(k33)
+        assert is_perfect(rook)
+
     def test_complement_closure(self, rng):
         # weak perfect graph theorem as a property check
-        from qpkit.graphs import complement
         checker = PerfectionChecker()
         for _ in range(40):
             g = random_graph(rng, rng.randrange(0, 8))

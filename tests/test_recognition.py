@@ -142,15 +142,11 @@ class TestRecognition:
                 if out.quasiperfect:
                     assert verify_certificate(g, out.certificate)
 
-    def test_perfect_shortcut_consistent(self):
-        plain = RecognitionEngine(mode="accelerated")
-        short = RecognitionEngine(mode="accelerated", perfect_shortcut=True)
-        for n in range(6):
-            for g in enumerate_graphs(n):
-                assert plain.is_quasiperfect(g) == short.is_quasiperfect(g)
-                out = short.recognize(g)
-                if out.quasiperfect:
-                    assert verify_certificate(g, out.certificate)
+    @pytest.mark.parametrize("knob,value", [("perfect_shortcut", True),
+                                            ("perfection_limit", 10)])
+    def test_perfect_shortcut_removed(self, knob, value):
+        with pytest.raises(TypeError):
+            RecognitionEngine(**{knob: value})
 
     def test_memo_reuse(self):
         eng = RecognitionEngine()
