@@ -163,9 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {"schema": "qpreport-v1", "reports": [r.to_json_dict() for r in reports]},
             indent=2) + "\n"
     _emit(payload, args.out)
-    theorem_failures = [r for r in reports if r.suite.startswith(("theorem", "perfect"))
-                        and not r.passed]
-    return 2 if theorem_failures else 0
+    return 0 if all(r.passed for r in reports) else 2
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
@@ -219,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", choices=("theorem1", "theorem2", "perfect-subset",
-                                     "color-removal", "all"))
+    p.add_argument("suite", choices=("theorem1", "theorem2", "perfect-subset", "all"))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)

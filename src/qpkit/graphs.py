@@ -150,6 +150,17 @@ def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
     return _trusted(len(vs), tuple(adj))
 
 
+def add_vertex(g: Graph, nbrs: int) -> Graph:
+    """g plus a new vertex g.n whose neighbors are the vertex set nbrs."""
+    if nbrs & ~g.vertex_mask:
+        raise GraphFormatError("neighborhood not contained in the graph")
+    if g.n == MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {g.n + 1} outside 0..{MAX_VERTICES}")
+    bit = 1 << g.n
+    rows = tuple(row | bit if nbrs >> v & 1 else row for v, row in enumerate(g.adj))
+    return _trusted(g.n + 1, rows + (nbrs,))
+
+
 def permute(g: Graph, perm: Iterable[int]) -> Graph:
     """Relabel so that vertex v becomes perm[v]."""
     p = tuple(perm)

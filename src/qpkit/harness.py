@@ -8,6 +8,7 @@ configuration.  Surveys report findings but never fail a run.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 from .canonical import canonical_key, max_codes_batch
 from .graphs import (
     Graph,
+    add_vertex,
     complement,
     emit_graph6,
     induced_subgraph,
-    parse_graph6,
+    mask_of,
 )
 from .invariants import (
     DEFAULT_PERFECTION_LIMIT,
@@ -34,6 +36,7 @@ from .invariants import (
 from .families import lovasz_prime_clique
 from .recognition import (
     RecognitionEngine,
+    RecognitionLimitError,
     complement_certificate,
     coloring_from_certificate,
     is_prime_clique,
@@ -150,13 +153,8 @@ def _grow_levels(n: int) -> None:
         if k == 0:
             _LEVELS.append([Graph(0, ())])
             continue
-        candidates: list[Graph] = []
-        for parent in _LEVELS[k - 1]:
-            for mask in range(1 << (k - 1)):
-                adj = [row | ((mask >> v & 1) << (k - 1))
-                       for v, row in enumerate(parent.adj)]
-                adj.append(mask)
-                candidates.append(Graph(k, tuple(adj)))
+        candidates = [add_vertex(parent, mask)
+                      for parent in _LEVELS[k - 1] for mask in range(1 << (k - 1))]
         reps: dict[bytes, Graph] = {}
         for g, key in zip(candidates, max_codes_batch(candidates, k)):
             reps.setdefault(key, g)
@@ -177,106 +175,90 @@ def enumerate_graphs(n: int) -> list[Graph]:
     return list(_LEVELS[n])
 
 
-def _scan_graph6(n_max: int) -> list[str]:
-    return [emit_graph6(g) for n in range(n_max + 1) for g in enumerate_graphs(n)]
-
-
 # ---------------------------------------------------------------------------
-# per-graph suite work, shared by the serial and multiprocess paths
+# the sweep every suite runs, and its per-graph items
 
-_state: dict[str, object] = {}
-
-
-def _pure_engine() -> RecognitionEngine:
-    eng = _state.get("pure")
-    if eng is None:
-        eng = RecognitionEngine(mode="pure")
-        _state["pure"] = eng
-    return eng
+@functools.cache
+def _engine(reading: str) -> RecognitionEngine:
+    return RecognitionEngine(mode="pure", reading=reading)
 
 
-def _disjunctive_engine() -> RecognitionEngine:
-    eng = _state.get("disjunctive")
-    if eng is None:
-        eng = RecognitionEngine(mode="pure", reading="disjunctive")
-        _state["disjunctive"] = eng
-    return eng
+def _sweep(n_max: int, item, threads: int) -> tuple[list[Graph], list]:
+    """Every enumerated graph with n <= n_max, and item mapped over them.
 
-
-def _parallel(fn, items: list, threads: int) -> list:
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    threads = min(threads, len(items))
+    With threads > 1 the items run in a fork pool of at most one process
+    per graph; item must then be picklable.
+    """
+    graphs = [g for n in range(n_max + 1) for g in enumerate_graphs(n)]
+    if threads <= 1 or len(graphs) < 2:
+        return graphs, [item(g) for g in graphs]
+    processes = min(threads, len(graphs))
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
-        chunk = max(1, len(items) // (threads * 4))
-        return pool.map(fn, items, chunksize=chunk)
+    with ctx.Pool(processes=processes) as pool:
+        chunk = max(1, len(graphs) // (processes * 4))
+        return graphs, pool.map(item, graphs, chunksize=chunk)
 
 
-def _theorem1_item(g6: str) -> tuple[str, bool, bool]:
-    g = parse_graph6(g6)
-    qp = _pure_engine().is_quasiperfect(g)
-    equal = clique_number(g) == chromatic_number(g) if qp else True
-    return g6, qp, equal
+def _assertion(suite: str, n_max: int, item, threads: int, config: dict) -> SuiteReport:
+    """A suite whose item returns False for a graph that violates its claim."""
+    t0 = time.perf_counter()
+    graphs, oks = _sweep(n_max, item, threads)
+    return SuiteReport(
+        suite=suite,
+        n_max=n_max,
+        graphs_scanned=len(graphs),
+        violations=[emit_graph6(g) for g, ok in zip(graphs, oks) if not ok],
+        config={"mode": "pure", "reading": "conjunctive", "threads": threads, **config},
+        runtime_seconds=time.perf_counter() - t0,
+    )
 
 
-def _theorem2_item(g6: str) -> tuple[str, bool]:
-    g = parse_graph6(g6)
-    eng = _pure_engine()
+def _pure_quasiperfect(g: Graph) -> bool:
+    return _engine("conjunctive").is_quasiperfect(g)
+
+
+def _theorem1_item(recognizer, g: Graph) -> bool:
+    return not recognizer(g) or clique_number(g) == chromatic_number(g)
+
+
+def _theorem2_item(g: Graph) -> bool:
+    eng = _engine("conjunctive")
+    gc = complement(g)
     out = eng.recognize(g)
-    out_c = eng.recognize(complement(g))
-    if out.quasiperfect != out_c.quasiperfect:
-        return g6, False
-    if out.quasiperfect:
-        dual = complement_certificate(out.certificate)
-        if not verify_certificate(complement(g), dual):
-            return g6, False
-    return g6, True
+    if out.quasiperfect != eng.recognize(gc).quasiperfect:
+        return False
+    return not out.quasiperfect or bool(
+        verify_certificate(gc, complement_certificate(out.certificate)))
 
 
-def _perfect_subset_item(g6: str) -> tuple[str, bool]:
-    g = parse_graph6(g6)
+def _perfect_subset_item(g: Graph) -> bool:
     if not is_perfect(g):
-        return g6, True
-    if not _pure_engine().is_quasiperfect(g):
-        return g6, False
-    if g.n >= 1 and not is_prime_clique(g, lovasz_prime_clique(g)):
-        return g6, False
-    return g6, True
+        return True
+    if not _pure_quasiperfect(g):
+        return False
+    return g.n == 0 or is_prime_clique(g, lovasz_prime_clique(g))
 
 
-def _removal_item(args: tuple[str, bool]) -> tuple[str, bool, list[bool]]:
-    g6, sweep_all = args
-    g = parse_graph6(g6)
-    eng = _pure_engine()
+def _removal_item(all_colorings: bool, g: Graph) -> list[bool] | None:
+    """Whether each color class's residue is accepted; None if g is not."""
+    eng = _engine("conjunctive")
     out = eng.recognize(g)
     if not out.quasiperfect:
-        return g6, False, []
-    results: list[bool] = []
-    coloring = coloring_from_certificate(g, out.certificate)
-    classes = sorted({c for c in coloring.values()})
-    partitions = [[sorted(v for v, c in coloring.items() if c == cls)
-                   for cls in classes]]
-    if sweep_all:
-        partitions = []
-        for assignment in optimal_colorings(g):
-            count = max(assignment) + 1 if assignment else 0
-            partitions.append([
-                [v for v, c in enumerate(assignment) if c == cls]
-                for cls in range(count)])
-    for part in partitions:
-        for cls_vertices in part:
-            mask = 0
-            for v in cls_vertices:
-                mask |= 1 << v
-            residue = induced_subgraph(g, g.vertex_mask & ~mask)
-            results.append(eng.is_quasiperfect(residue))
-    return g6, True, results
+        return None
+    if all_colorings:
+        colorings = [dict(enumerate(c)) for c in optimal_colorings(g)]
+    else:
+        colorings = [coloring_from_certificate(g, out.certificate)]
+    results = []
+    for coloring in colorings:
+        for cls in sorted(set(coloring.values())):
+            removed = mask_of(v for v, c in coloring.items() if c == cls)
+            results.append(eng.is_quasiperfect(induced_subgraph(g, g.vertex_mask & ~removed)))
+    return results
 
 
-def _divergence_item(g6: str) -> tuple[str, bool, bool]:
-    g = parse_graph6(g6)
-    return g6, _pure_engine().is_quasiperfect(g), _disjunctive_engine().is_quasiperfect(g)
+def _divergence_item(g: Graph) -> tuple[bool, bool]:
+    return _pure_quasiperfect(g), _engine("disjunctive").is_quasiperfect(g)
 
 
 # ---------------------------------------------------------------------------
@@ -286,61 +268,24 @@ def verify_theorem1(n_max: int, *, threads: int = 1, recognizer=None) -> SuiteRe
     """Every accepted graph must have equal clique and chromatic numbers.
 
     A custom recognizer callable can be injected so the suite itself can
-    be tested against deliberately corrupted recognizers.
+    be tested against deliberately corrupted recognizers.  It runs
+    serially, so it need not be picklable, and the report echoes threads=1.
     """
-    t0 = time.perf_counter()
-    g6s = _scan_graph6(n_max)
-    if recognizer is None:
-        results = _parallel(_theorem1_item, g6s, threads)
-    else:
-        results = []
-        for g6 in g6s:
-            g = parse_graph6(g6)
-            qp = bool(recognizer(g))
-            equal = clique_number(g) == chromatic_number(g) if qp else True
-            results.append((g6, qp, equal))
-    violations = [g6 for g6, qp, equal in results if qp and not equal]
-    return SuiteReport(
-        suite="theorem1",
-        n_max=n_max,
-        graphs_scanned=len(g6s),
-        violations=violations,
-        config={"mode": "pure", "reading": "conjunctive", "threads": threads},
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    if recognizer is not None:
+        threads = 1
+    item = functools.partial(_theorem1_item, recognizer or _pure_quasiperfect)
+    return _assertion("theorem1", n_max, item, threads, {})
 
 
 def verify_theorem2(n_max: int, *, threads: int = 1) -> SuiteReport:
     """Complement closure: verdicts agree and dual certificates verify."""
-    t0 = time.perf_counter()
-    g6s = _scan_graph6(n_max)
-    results = _parallel(_theorem2_item, g6s, threads)
-    violations = [g6 for g6, ok in results if not ok]
-    return SuiteReport(
-        suite="theorem2",
-        n_max=n_max,
-        graphs_scanned=len(g6s),
-        violations=violations,
-        config={"mode": "pure", "reading": "conjunctive", "threads": threads},
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _assertion("theorem2", n_max, _theorem2_item, threads, {})
 
 
 def verify_perfect_subset(n_max: int, *, threads: int = 1) -> SuiteReport:
     """Perfect graphs must be accepted, with a valid replication prime clique."""
-    t0 = time.perf_counter()
-    g6s = _scan_graph6(n_max)
-    results = _parallel(_perfect_subset_item, g6s, threads)
-    violations = [g6 for g6, ok in results if not ok]
-    return SuiteReport(
-        suite="perfect-subset",
-        n_max=n_max,
-        graphs_scanned=len(g6s),
-        violations=violations,
-        config={"mode": "pure", "reading": "conjunctive", "threads": threads,
-                "perfection_limit": DEFAULT_PERFECTION_LIMIT},
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _assertion("perfect-subset", n_max, _perfect_subset_item, threads,
+                      {"perfection_limit": DEFAULT_PERFECTION_LIMIT})
 
 
 def color_class_removal_survey(
@@ -355,33 +300,21 @@ def color_class_removal_survey(
     t0 = time.perf_counter()
     if all_colorings and n_max > 5:
         raise ValueError("full coloring sweep is limited to n_max <= 5")
-    g6s = _scan_graph6(n_max)
-    results = _parallel(_removal_item, [(g6, all_colorings) for g6 in g6s], threads)
-    checked = 0
-    preserved = 0
-    counterexamples: list[dict] = []
-    accepted = 0
-    for g6, qp, outcomes in results:
-        if not qp:
-            continue
-        accepted += 1
-        for idx, ok in enumerate(outcomes):
-            checked += 1
-            if ok:
-                preserved += 1
-            else:
-                counterexamples.append({"graph6": g6, "class_index": idx})
+    graphs, results = _sweep(n_max, functools.partial(_removal_item, all_colorings), threads)
+    accepted = [(g, oks) for g, oks in zip(graphs, results) if oks is not None]
     findings = {
-        "graphs_quasiperfect": accepted,
-        "classes_checked": checked,
-        "classes_preserving": preserved,
-        "counterexamples": counterexamples,
+        "graphs_quasiperfect": len(accepted),
+        "classes_checked": sum(len(oks) for _, oks in accepted),
+        "classes_preserving": sum(sum(oks) for _, oks in accepted),
+        "counterexamples": [{"graph6": emit_graph6(g), "class_index": idx}
+                            for g, oks in accepted
+                            for idx, ok in enumerate(oks) if not ok],
         "all_colorings": all_colorings,
     }
     return SuiteReport(
         suite="color-removal",
         n_max=n_max,
-        graphs_scanned=len(g6s),
+        graphs_scanned=len(graphs),
         violations=[],
         config={"mode": "pure", "reading": "conjunctive", "threads": threads,
                 "all_colorings": all_colorings},
@@ -393,24 +326,19 @@ def color_class_removal_survey(
 def reading_divergence_survey(n_max: int, *, threads: int = 1) -> SuiteReport:
     """Where do the one-sided and two-sided readings of the definition differ?"""
     t0 = time.perf_counter()
-    g6s = _scan_graph6(n_max)
-    results = _parallel(_divergence_item, g6s, threads)
+    graphs, results = _sweep(n_max, _divergence_item, threads)
     diverging = [
-        {"graph6": g6, "conjunctive": conj, "disjunctive": disj}
-        for g6, conj, disj in results
+        {"graph6": emit_graph6(g), "conjunctive": conj, "disjunctive": disj}
+        for g, (conj, disj) in zip(graphs, results)
         if conj != disj
     ]
-    findings = {
-        "diverging": diverging,
-        "count": len(diverging),
-    }
     return SuiteReport(
         suite="reading-divergence",
         n_max=n_max,
-        graphs_scanned=len(g6s),
+        graphs_scanned=len(graphs),
         violations=[],
         config={"mode": "pure", "threads": threads},
-        findings=findings,
+        findings={"diverging": diverging, "count": len(diverging)},
         runtime_seconds=time.perf_counter() - t0,
     )
 
@@ -437,14 +365,13 @@ def minimal_qp_supergraph(
     by canonical key, and tested.  Returns the first witness (which
     contains g as an induced subgraph by construction) or None.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     if engine is None:
         engine = RecognitionEngine(mode="accelerated")
     if g.n + k_max > engine.limit:
-        from .recognition import RecognitionLimitError
         raise RecognitionLimitError(
             f"{g.n} + {k_max} added vertices exceeds limit {engine.limit}")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
     for k in range(k_max + 1):
         seen: set[bytes] = set()
         for h in _attachments(g, k):
@@ -461,14 +388,5 @@ def _attachments(g: Graph, k: int):
     if k == 0:
         yield g
         return
-
-    def extend(cur: Graph, remaining: int):
-        if remaining == 0:
-            yield cur
-            return
-        v = cur.n
-        for mask in range(1 << v):
-            adj = [row | ((mask >> u & 1) << v) for u, row in enumerate(cur.adj)]
-            adj.append(mask)
-            yield from extend(Graph(v + 1, tuple(adj)), remaining - 1)
-    yield from extend(g, k)
+    for mask in range(1 << g.n):
+        yield from _attachments(add_vertex(g, mask), k - 1)

@@ -1,13 +1,17 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from qpkit import cli
 from qpkit.cli import main
-from qpkit.graphs import cycle_graph, emit_graph6
+from qpkit.graphs import cycle_graph, emit_graph6, empty_graph
+from qpkit.harness import ALL_SUITES, SuiteReport
 from qpkit.recognition import certificate_from_json, verify_certificate
 
 C5 = emit_graph6(cycle_graph(5))  # DUW
@@ -150,6 +154,21 @@ class TestVerify:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_surveys_are_not_suites(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "color-removal"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_all_exits_2_on_any_violation(self, monkeypatch, capsys):
+        def failing(n_max, *, threads):
+            return SuiteReport("theorem2", n_max, 1, ["?"], {"threads": threads})
+
+        monkeypatch.setattr(cli, "verify_theorem2", failing)
+        assert main(["verify", "all", "--n-max", "3"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["violations"] for r in doc["reports"]] == [[], ["?"], []]
+
     def test_out_file(self, tmp_path):
         dst = tmp_path / "report.json"
         code = main(["verify", "theorem2", "--n-max", "3", "--out", str(dst)])
@@ -204,6 +223,36 @@ class TestSupergraph:
     def test_multiple_inputs_rejected(self, monkeypatch, capsys):
         code, _ = run(["supergraph", "-"], "?\n?\n", monkeypatch, capsys)
         assert code == 2
+
+    def test_negative_k_max_exits_2(self, monkeypatch, capsys):
+        g6 = emit_graph6(empty_graph(14))  # over the default limit of 12
+        code, _ = run(["supergraph", "-", "--k-max", "-1"], g6, monkeypatch, capsys)
+        assert code == 2
+
+
+class TestScripts:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+
+    @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-2"],
+                                      ["--n-max", "9"], ["--n-max", "-1"]])
+    def test_run_verification_rejects_out_of_range(self, monkeypatch, capsys,
+                                                   tmp_path, argv):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *argv,
+                                          "--out-dir", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_verification_small(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), "--n-max", "3",
+                                          "--out-dir", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert exc.value.code == 0
+        assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(ALL_SUITES)
+        capsys.readouterr()
 
 
 class TestConsoleScript:

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpkit.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
+    add_vertex,
     bit_members,
     complement,
     complete_graph,
@@ -161,7 +163,7 @@ class TestGraph6:
 
 
 class TestUnvalidatedConstructions:
-    """complement, induced_subgraph and permute skip Graph validation."""
+    """complement, induced_subgraph, permute and add_vertex skip Graph validation."""
 
     def test_outputs_equal_validated_graphs(self, rng):
         for _ in range(60):
@@ -175,6 +177,22 @@ class TestUnvalidatedConstructions:
                 assert type(h) is Graph
                 validated = Graph(h.n, h.adj)  # raises if h were malformed
                 assert h == validated and hash(h) == hash(validated)
+
+    def test_add_vertex_matches_from_edges(self, rng):
+        for _ in range(60):
+            n = rng.randrange(0, 12)
+            g = random_graph(rng, n, rng.random())
+            nbrs = rng.getrandbits(n) if n else 0
+            h = add_vertex(g, nbrs)
+            assert type(h) is Graph
+            want = from_edges(n + 1, [*g.edges(), *((u, n) for u in bit_members(nbrs))])
+            assert h == want and hash(h) == hash(want)
+
+    def test_add_vertex_rejects_outside_mask(self):
+        with pytest.raises(GraphFormatError):
+            add_vertex(path_graph(3), 0b1000)
+        with pytest.raises(GraphFormatError):
+            add_vertex(empty_graph(MAX_VERTICES), 0)
 
     def test_public_constructors_still_validate(self):
         with pytest.raises(GraphFormatError):

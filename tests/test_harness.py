@@ -17,6 +17,7 @@ from qpkit.graphs import (
     parse_graph6,
 )
 from qpkit.harness import (
+    ALL_SUITES,
     ClassificationInvariantError,
     ClassificationRecord,
     SuiteReport,
@@ -136,9 +137,10 @@ class TestTheoremSuites:
         report = verify_perfect_subset(5)
         assert report.passed
 
-    def test_parallel_matches_serial(self):
-        serial = verify_theorem1(5, threads=1).to_json_dict()
-        threaded = verify_theorem1(5, threads=3).to_json_dict()
+    @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
+    def test_parallel_matches_serial(self, suite):
+        serial = ALL_SUITES[suite](5, threads=1).to_json_dict()
+        threaded = ALL_SUITES[suite](5, threads=2).to_json_dict()
         for doc in (serial, threaded):
             doc.pop("stats")
             doc["config"].pop("threads")
@@ -226,6 +228,11 @@ class TestSupergraphSearch:
         eng = RecognitionEngine(limit=6)
         with pytest.raises(RecognitionLimitError):
             minimal_qp_supergraph(cycle_graph(5), k_max=2, engine=eng)
+
+    def test_negative_k_max_is_a_value_error_before_the_limit(self):
+        # 14 vertices already exceed the default limit of 12
+        with pytest.raises(ValueError, match="k_max"):
+            minimal_qp_supergraph(empty_graph(14), k_max=-1)
 
     def test_none_when_no_extension_found(self):
         eng = RecognitionEngine(limit=13)
