@@ -12,7 +12,10 @@ one yields an automorphism, and the search skips a branch vertex that
 such automorphisms (those fixing the branch's path) map onto a vertex
 already tried, as in McKay and Piperno's orbit pruning.  Skipped
 subtrees are images of searched ones, so pruning never changes the
-elected labeling.
+elected labeling.  The automorphisms the search records generate the
+whole automorphism group: every leaf with the elected bit string is
+either reached, yielding one of them, or the image under them of a leaf
+that is.
 """
 
 from __future__ import annotations
@@ -63,11 +66,17 @@ def _code_of_order(adj: tuple[int, ...], order: list[int]) -> int:
     return code
 
 
-def _canonical_refined(g: Graph) -> tuple[int, ...]:
+def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The elected order, and automorphisms that generate Aut(g).
+
+    Each automorphism is a list gamma with gamma[v] the image of v.
+    """
     n = g.n
     total_bits = n * (n - 1) // 2
     if g.m == 0 or g.m == total_bits:
-        return tuple(range(n))
+        # the symmetric group: a transposition and an n-cycle generate it
+        gens = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+        return tuple(range(n)), gens
     adj = g.adj
     best_code = -1
     best_order: list[int] = []
@@ -127,13 +136,13 @@ def _canonical_refined(g: Graph) -> tuple[int, ...]:
             search(branched, path + [v])
 
     search([g.vertex_mask], [])
-    return tuple(best_order)
+    return tuple(best_order), autos
 
 
 @lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:
     """Key bytes plus the order array (order[p] = original vertex at slot p)."""
-    order = _canonical_refined(g)
+    order, _ = _canonical_refined(g)
     inverse = [0] * g.n
     for p, v in enumerate(order):
         inverse[v] = p
@@ -145,8 +154,16 @@ def canonical_key(g: Graph) -> CanonicalKey:
     return canonical_form(g)[0]
 
 
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Permutations gamma (v maps to gamma[v]) that generate Aut(g)."""
+    return _canonical_refined(g)[1]
+
+
 def max_codes_batch(graphs: list[Graph], n: int) -> list[CanonicalKey]:
-    """Keys of many graphs on n vertices, the enumerator's bulk call."""
+    """Keys of many graphs on n vertices.
+
+    qpkit no longer calls it; bench/tracing.py still spans it by name.
+    """
     return [canonical_key(g) for g in graphs]
 
 

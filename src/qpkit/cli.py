@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--all-colorings", action="store_true",
-                   help="sweep every optimal coloring (n-max <= 5)")
+                   help="color-removal only: sweep every optimal coloring "
+                        "(n-max <= 5)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_survey)
 
@@ -244,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "all_colorings", False) and args.survey != "color-removal":
+        parser.error("--all-colorings applies to the color-removal survey only")
     try:
         return args.fn(args)
     except _LIMIT_ERRORS as exc:

@@ -228,3 +228,27 @@ def enumerate_classes_by_permutation(n):
         seen |= orbit
         reps.append((n, edges))
     return reps
+
+
+def enumerate_by_extension(n_max):
+    """Levels 0..n_max of the enumerator as it was before canonical
+    augmentation: every neighborhood of a new vertex on every class of the
+    level below, the first candidate per canonical key kept, sorted by
+    (m, key).
+
+    Unlike the oracles above it uses the package's own extension step and
+    keys, because it pins the enumerator's representatives and order.
+    Labels 11,291 graphs up to n = 7."""
+    from qpkit.canonical import canonical_key
+    from qpkit.graphs import Graph, add_vertex
+
+    levels = [[Graph(0, ())]]
+    for k in range(1, n_max + 1):
+        reps = {}
+        for parent in levels[-1]:
+            for mask in range(1 << (k - 1)):
+                g = add_vertex(parent, mask)
+                reps.setdefault(canonical_key(g), g)
+        ranked = sorted(reps.items(), key=lambda item: (item[1].m, item[0]))
+        levels.append([g for _, g in ranked])
+    return levels

@@ -11,6 +11,7 @@ from qpkit.canonical import (
     _canonical_refined,
     _code_of_order,
     _refine,
+    automorphism_generators,
     canonical_form,
     canonical_graph,
     canonical_key,
@@ -30,7 +31,7 @@ from qpkit.graphs import (
 
 
 def _refined_key(g):
-    order = _canonical_refined(g)
+    order, _ = _canonical_refined(g)
     inv = [0] * g.n
     for p, v in enumerate(order):
         inv[v] = p
@@ -131,7 +132,38 @@ class TestForm:
         graphs += [complement(g) for g in graphs[-2:]]
         graphs += [_blowup(4, 2), _blowup(5, 2), cycle_graph(9)]
         for g in graphs:
-            assert _canonical_refined(g) == _unpruned_order(g)
+            assert _canonical_refined(g)[0] == _unpruned_order(g)
+
+
+class TestAutomorphisms:
+    @staticmethod
+    def _is_automorphism(g, gamma):
+        return sorted(gamma) == list(range(g.n)) and all(
+            g.has_edge(gamma[u], gamma[v]) == g.has_edge(u, v)
+            for u, v in itertools.combinations(range(g.n), 2))
+
+    def test_returned_automorphisms_preserve_adjacency(self):
+        graphs = [g for n in range(7) for g in _all_classes(n)]
+        graphs += [_disjoint_cliques(5, 3), _biclique(6, 6)]
+        for g in graphs:
+            _, autos = _canonical_refined(g)
+            assert all(self._is_automorphism(g, gamma) for gamma in autos)
+
+    def test_they_generate_the_whole_group(self):
+        # the enumerator extends one subset per orbit of the group they generate
+        for n in range(6):
+            for g in _all_classes(n):
+                group = {tuple(p) for p in itertools.permutations(range(n))
+                         if self._is_automorphism(g, p)}
+                closure, frontier = {tuple(range(n))}, [tuple(range(n))]
+                while frontier:
+                    p = frontier.pop()
+                    for gamma in automorphism_generators(g):
+                        q = tuple(gamma[v] for v in p)
+                        if q not in closure:
+                            closure.add(q)
+                            frontier.append(q)
+                assert closure == group
 
 
 class TestEnumeratedClasses:

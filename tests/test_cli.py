@@ -187,6 +187,18 @@ class TestVerify:
         assert da == db
 
 
+class TestNMax:
+    @pytest.mark.parametrize("argv", [["verify", "theorem1", "--n-max", "-1"],
+                                      ["verify", "all", "--n-max", "9"],
+                                      ["survey", "reading-divergence", "--n-max", "-3"],
+                                      ["survey", "color-removal", "--n-max", "-1"]])
+    def test_out_of_range_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_max must be in 0..8" in captured.err
+
+
 class TestThreads:
     @pytest.mark.parametrize("argv", [["verify", "theorem1"],
                                       ["survey", "reading-divergence"]])
@@ -205,6 +217,12 @@ class TestSurvey:
         assert code == 0
         doc = json.loads(out)
         assert doc["findings"]["counterexamples"] == []
+
+    def test_all_colorings_is_for_color_removal_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["survey", "reading-divergence", "--all-colorings", "--n-max", "2"])
+        assert exc.value.code == 2
+        assert "--all-colorings" in capsys.readouterr().err
 
     def test_divergence(self, capsys):
         code = main(["survey", "reading-divergence", "--n-max", "4"])

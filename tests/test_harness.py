@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from qpkit import harness
-from qpkit.canonical import canonical_key
+from qpkit.canonical import canonical_form, canonical_key
 from qpkit.graphs import (
     complete_graph,
     cycle_graph,
@@ -35,13 +35,32 @@ from qpkit.invariants import PerfectionChecker
 from qpkit.recognition import RecognitionEngine, RecognitionLimitError
 
 
-KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# OEIS A000088
+KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(9))
     def test_counts(self, n):
         assert len(enumerate_graphs(n)) == KNOWN_CLASS_COUNTS[n]
+
+    def test_same_sequence_as_extending_every_candidate(self):
+        # canonical augmentation keeps the first candidate of each class,
+        # so its representatives and their order are those of the old loop
+        reference = oracles.enumerate_by_extension(7)
+        for n in range(8):
+            assert [emit_graph6(g) for g in enumerate_graphs(n)] == [
+                emit_graph6(g) for g in reference[n]]
+
+    def test_cold_enumeration_keeps_the_labeling_cache_unfilled(self, monkeypatch):
+        # labeling every candidate up to n = 8 (144,923 graphs) cycled the
+        # whole cache; one subset per orbit and the degree test label 19,912
+        monkeypatch.setattr(harness, "_LEVELS", [])
+        canonical_form.cache_clear()
+        assert len(enumerate_graphs(8)) == 12346
+        info = canonical_form.cache_info()
+        assert info.currsize < info.maxsize
+        assert info.misses < 25_000
 
     def test_no_isomorphic_pair(self):
         for n in range(6):
@@ -146,8 +165,9 @@ class TestTheoremSuites:
             doc["config"].pop("threads")
         assert serial == threaded
 
-    @pytest.mark.parametrize("n_max,threads,processes", [(2, 64, 4), (4, 3, 3)])
-    def test_pool_never_larger_than_items(self, monkeypatch, n_max, threads, processes):
+    @staticmethod
+    def _record_pools(monkeypatch, cpus):
+        """Sizes of the pools the suites open, with the CPU count set to cpus."""
         opened = []
 
         class RecordingPool:
@@ -168,10 +188,31 @@ class TestTheoremSuites:
             Pool = RecordingPool
 
         monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        return opened
+
+    @pytest.mark.parametrize("n_max,threads,processes", [(2, 64, 4), (4, 3, 3)])
+    def test_pool_never_larger_than_items(self, monkeypatch, n_max, threads, processes):
+        opened = self._record_pools(monkeypatch, cpus=64)
         report = verify_theorem1(n_max, threads=threads)
         assert opened == [processes]
         assert report.passed
         assert report.config["threads"] == threads  # the request is echoed as given
+
+    @pytest.mark.parametrize("cpus,opened_sizes", [(2, [2]), (None, [])])
+    def test_pool_never_larger_than_cpus(self, monkeypatch, cpus, opened_sizes):
+        # os.cpu_count() may return None; one CPU runs the items serially
+        opened = self._record_pools(monkeypatch, cpus)
+        report = verify_theorem1(4, threads=64)
+        assert opened == opened_sizes
+        assert report.passed
+        assert report.config["threads"] == 64
+
+    @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
+    @pytest.mark.parametrize("n_max", [-1, 9])
+    def test_n_max_out_of_range(self, suite, n_max):
+        with pytest.raises(ValueError):
+            ALL_SUITES[suite](n_max)
 
     def test_report_shape(self):
         report = verify_theorem1(4)
