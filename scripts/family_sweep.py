@@ -7,6 +7,9 @@ residue structure checks.  The triangle's residue is always a block graph,
 but the triangle itself usually fails the membership clause of the strict
 predicate (its cycle vertices avoid every maximum independent set), so the
 table makes the gap visible instead of hiding it.
+
+Exits 1 when any PK residue is not a block graph or any PI residue is
+not a forest, and 2 on a cycle length that is even or below 5.
 """
 
 import argparse
@@ -31,14 +34,18 @@ from qpkit.recognition import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cycles", type=int, nargs="+", default=[5, 7])
-    ap.add_argument("--limit", type=int, default=14)
     args = ap.parse_args()
+    bad = [n for n in args.cycles if n < 5 or n % 2 == 0]
+    if bad:
+        ap.error(f"cycle lengths must be odd and at least 5, got {bad}")
 
-    engine = RecognitionEngine(mode="accelerated", limit=args.limit)
+    # the largest graph of cycle length n has 2n vertices
+    engine = RecognitionEngine(mode="accelerated", limit=2 * max(args.cycles))
     print(f"{'spec':<24} {'qp':<4} {'cert':<5} {'PK-strict':<10} "
           f"{'PK-residue':<11} {'PI-residue':<10}")
     rows = 0
     strict_passes = 0
+    residue_failures = 0
     for n in args.cycles:
         for o in range(1, n + 1):
             for pos in itertools.combinations(range(1, n + 1), o):
@@ -54,6 +61,7 @@ def main() -> int:
                 block = is_block_graph(
                     induced_subgraph(g, g.vertex_mask & ~pk))
                 forest = is_forest(induced_subgraph(g, g.vertex_mask & ~pi))
+                residue_failures += not (block and forest)
                 label = f"F({n},{{{','.join(map(str, pos))}}})"
                 print(f"{label:<24} {str(out.quasiperfect):<4} "
                       f"{str(cert_ok):<5} {str(strict):<10} "
@@ -61,7 +69,9 @@ def main() -> int:
                 rows += 1
     print(f"\n{rows} family graphs; wing triangle passes the strict "
           f"prime-clique predicate on {strict_passes} of them")
-    return 0
+    if residue_failures:
+        print(f"{residue_failures} specs fail a residue check", file=sys.stderr)
+    return 1 if residue_failures else 0
 
 
 if __name__ == "__main__":

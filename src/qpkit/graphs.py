@@ -122,8 +122,10 @@ def cycle_graph(n: int) -> Graph:
 def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
     """A Graph built without validation, for outputs valid by construction.
 
-    Only the constructions below use it; Graph(...), from_edges and the
-    parsers still validate their input.
+    Only the constructions below, parse_graph6 included, use it: the graph6
+    parser checks every byte, the size and the padding itself, and sets
+    both bits of each pair it reads.  Graph(...), from_edges and
+    parse_edge_list still validate.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
@@ -233,7 +235,7 @@ def parse_graph6(text: str | bytes) -> Graph:
         pad = need * 6 - nbits
         if (body[-1] - 63) & ((1 << pad) - 1):
             raise GraphFormatError("nonzero padding bits")
-    return Graph(n, tuple(adj))
+    return _trusted(n, tuple(adj))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -280,13 +282,11 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"non-numeric edge line: {ln!r}") from exc
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise GraphFormatError(f"edge ({u}, {v}) invalid for n={n}")
         edges.append((u, v))
-    try:
-        return from_edges(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    g = from_edges(n, edges)
+    if g.m != m:
+        raise GraphFormatError(f"declared {m} edges, found {g.m} distinct")
+    return g
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -268,7 +268,7 @@ def _theorem2_item(g: Graph) -> bool:
     eng = _engine("conjunctive")
     gc = complement(g)
     out = eng.recognize(g)
-    if out.quasiperfect != eng.recognize(gc).quasiperfect:
+    if out.quasiperfect != eng.is_quasiperfect(gc):
         return False
     return not out.quasiperfect or bool(
         verify_certificate(gc, complement_certificate(out.certificate)))

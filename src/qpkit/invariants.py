@@ -88,18 +88,17 @@ def greedy_coloring_bound(g: Graph) -> int:
     return used
 
 
-def _k_colorable(g: Graph, k: int) -> bool:
+def _k_colorable(g: Graph, k: int, seed: list[int]) -> bool:
+    """Whether g has a proper k-coloring extending the clique seed."""
     n = g.n
     adj = g.adj
     colors = [-1] * n
-    seed = bit_members(maximum_cliques(g)[0])
-    if len(seed) > k:
-        return False
     for i, v in enumerate(seed):
         colors[v] = i
 
-    def pick() -> int:
-        best, best_rank = -1, (-1, -1, 0)
+    def pick() -> tuple[int, int]:
+        """The uncolored vertex of highest saturation, and its neighbours' colors."""
+        best, best_rank, best_sat = -1, (-1, -1, 0), 0
         for v in range(n):
             if colors[v] >= 0:
                 continue
@@ -109,17 +108,13 @@ def _k_colorable(g: Graph, k: int) -> bool:
                     sat |= 1 << colors[u]
             rank = (sat.bit_count(), g.degree(v), -v)
             if rank > best_rank:
-                best, best_rank = v, rank
-        return best
+                best, best_rank, best_sat = v, rank, sat
+        return best, best_sat
 
     def rec(done: int, used: int) -> bool:
         if done == n:
             return True
-        v = pick()
-        taken = 0
-        for u in iter_bits(adj[v]):
-            if colors[u] >= 0:
-                taken |= 1 << colors[u]
+        v, taken = pick()
         for c in range(min(used + 1, k)):
             if taken >> c & 1:
                 continue
@@ -135,16 +130,16 @@ def _k_colorable(g: Graph, k: int) -> bool:
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by iterated k-colorability search.
 
-    The search seeds each test with a maximum clique (its vertices take
-    distinct colors in any proper coloring) and breaks color symmetry by
-    allowing at most one fresh color per step.
+    The search seeds each test with one maximum clique (its vertices take
+    distinct colors in any proper coloring, so k starts at its size) and
+    breaks color symmetry by allowing at most one fresh color per step.
     """
     if g.n == 0:
         return 0
-    low = clique_number(g)
+    seed = bit_members(maximum_cliques(g)[0])
     high = greedy_coloring_bound(g)
-    for k in range(low, high):
-        if _k_colorable(g, k):
+    for k in range(len(seed), high):
+        if _k_colorable(g, k, seed):
             return k
     return high
 
@@ -192,83 +187,55 @@ def optimal_colorings(g: Graph) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0)
 
 
+def _component_count(g: Graph) -> int:
+    """Number of connected components, isolated vertices included."""
+    count = 0
+    left = g.vertex_mask
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        left &= ~comp
+        count += 1
+    return count
+
+
 def is_forest(g: Graph) -> bool:
-    """True when the graph has no cycle (counts edges per component)."""
-    seen = 0
-    for root in range(g.n):
-        if seen >> root & 1:
-            continue
-        comp = 0
-        stack = [root]
-        seen |= 1 << root
-        comp |= 1 << root
-        edges = 0
-        while stack:
-            v = stack.pop()
-            edges += (g.adj[v]).bit_count()
-            for u in iter_bits(g.adj[v] & ~seen):
-                seen |= 1 << u
-                comp |= 1 << u
-                stack.append(u)
-        if edges // 2 != comp.bit_count() - 1:
-            return False
-    return True
+    """True when the graph has no cycle.
 
-
-def _biconnected_components(g: Graph) -> Iterator[int]:
-    """Vertex masks of biconnected components (bridges count as components)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    edge_stack: list[tuple[int, int]] = []
-
-    def dfs(root: int) -> Iterator[int]:
-        nonlocal timer
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter_bits(g.adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    edge_stack.append((v, u))
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, v, iter_bits(g.adj[u])))
-                    advanced = True
-                    break
-                if u != parent and disc[u] < disc[v]:
-                    edge_stack.append((v, u))
-                    low[v] = min(low[v], disc[u])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    comp = 0
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        comp |= 1 << a | 1 << b
-                        if (a, b) == (pv, v):
-                            break
-                    if comp:
-                        yield comp
-
-    for r in range(n):
-        if disc[r] == -1:
-            yield from dfs(r)
+    Connecting c components takes at least n - c edges, and exactly
+    n - c only when no edge closes a cycle.
+    """
+    return g.m == g.n - _component_count(g)
 
 
 def is_block_graph(g: Graph) -> bool:
-    """True when every biconnected component induces a complete graph."""
-    for comp in _biconnected_components(g):
-        for v in iter_bits(comp):
-            if (comp & ~(1 << v)) & ~g.adj[v]:
-                return False
+    """True when every block (biconnected component) is a clique.
+
+    Let c be the number of components of g and q its number of maximal
+    cliques.  The incidence graph of vertices and maximal cliques has
+    n + q nodes, sum |Q| edges and the same c components as g, so
+    sum (|Q| - 1) >= n - c always, with equality exactly when that
+    incidence graph is a forest.  A budget of n - c that drops below 0
+    therefore settles the answer before the scan ends.
+
+    If the incidence graph is a forest, take a cycle of g and walk it
+    through cliques that hold its edges.  The walk is closed and never
+    steps straight back, and a forest has no such walk unless every
+    edge of the cycle lies in one clique.  Any two vertices of a block
+    lie on a common cycle, so every block is a clique.  Conversely, in a
+    block graph the maximal cliques are the blocks plus the isolated
+    vertices, and the incidence graph is the block-cut forest.
+    """
+    budget = g.n - _component_count(g)
+    for q in maximal_cliques(g):
+        budget -= q.bit_count() - 1
+        if budget < 0:
+            return False
     return True
 
 

@@ -522,11 +522,11 @@ class RecognitionEngine:
             if clique_number(g) != chromatic_number(g):
                 return _Entry(False)
         pi = self._first_branch(g, prime_independent_sets(g))
-        if pi is None and self.reading == "conjunctive":
+        if self.reading == "disjunctive":
+            return _Entry(pi is not None or self._first_branch(g, prime_cliques(g)) is not None)
+        if pi is None:
             return _Entry(False)
         pk = self._first_branch(g, prime_cliques(g))
-        if self.reading == "disjunctive":
-            return _Entry(pi is not None or pk is not None)
         if pk is None:
             return _Entry(False)
         _, order = canonical_form(g)

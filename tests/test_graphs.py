@@ -27,6 +27,7 @@ from qpkit.graphs import (
     path_graph,
     permute,
 )
+from qpkit.harness import enumerate_graphs
 
 from conftest import edge_pairs, random_graph
 
@@ -163,7 +164,8 @@ class TestGraph6:
 
 
 class TestUnvalidatedConstructions:
-    """complement, induced_subgraph, permute and add_vertex skip Graph validation."""
+    """complement, induced_subgraph, permute, add_vertex and parse_graph6
+    skip Graph validation."""
 
     def test_outputs_equal_validated_graphs(self, rng):
         for _ in range(60):
@@ -177,6 +179,30 @@ class TestUnvalidatedConstructions:
                 assert type(h) is Graph
                 validated = Graph(h.n, h.adj)  # raises if h were malformed
                 assert h == validated and hash(h) == hash(validated)
+
+    def test_parse_graph6_equals_validated_graph(self):
+        for n in range(8):
+            for g in enumerate_graphs(n):
+                h = parse_graph6(emit_graph6(g))
+                assert type(h) is Graph
+                validated = Graph(h.n, h.adj)
+                assert h == g == validated and hash(h) == hash(validated)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.integers(63, 126), max_size=40).map(bytes),
+        # a size byte and a payload of exactly the length it needs
+        st.integers(0, 12).flatmap(lambda n: st.lists(
+            st.integers(63, 126), min_size=(n * (n - 1) // 2 + 5) // 6,
+            max_size=(n * (n - 1) // 2 + 5) // 6).map(lambda b: bytes([n + 63, *b])))))
+    def test_parse_graph6_fuzz(self, data):
+        # every input is either rejected or decodes to a valid graph
+        try:
+            h = parse_graph6(data)
+        except GraphFormatError:
+            return
+        assert h == Graph(h.n, h.adj)
 
     def test_add_vertex_matches_from_edges(self, rng):
         for _ in range(60):
@@ -213,7 +239,8 @@ class TestEdgeList:
         assert g == path_graph(3)
 
     def test_malformed(self):
-        for bad in ["", "3", "3 1\n", "3 1\n0 1\n1 2\n", "x y\n", "2 1\n0 2\n"]:
+        for bad in ["", "3", "3 1\n", "3 1\n0 1\n1 2\n", "x y\n", "2 1\n0 2\n",
+                    "3 2\n0 1\n0 1\n", "3 2\n0 1\n1 0\n"]:
             with pytest.raises(GraphFormatError):
                 parse_edge_list(bad)
 

@@ -86,7 +86,7 @@ class TestChromatic:
         assert chromatic_number(g) == chi
 
     def test_oracle_sweep(self):
-        for n in range(7):
+        for n in range(8):
             for g in enumerate_graphs(n):
                 edges = oracles.graph_edges(g)
                 assert chromatic_number(g) == oracles.oracle_chromatic(n, edges)
@@ -157,6 +157,8 @@ class TestStructurePredicates:
         assert is_forest(empty_graph(4))
         assert not is_forest(cycle_graph(3))
         assert is_forest(from_edges(5, [(0, 1), (2, 3)]))
+        # isolated vertices are components too: K3 + 2K1 has 3 edges, n - c = 2
+        assert not is_forest(from_edges(5, [(0, 1), (1, 2), (0, 2)]))
 
     def test_block_graph_examples(self):
         assert is_block_graph(complete_graph(4))
@@ -166,19 +168,40 @@ class TestStructurePredicates:
         assert is_block_graph(g)
         assert not is_block_graph(cycle_graph(4))
         assert not is_block_graph(cycle_graph(5))
+        # K4 minus an edge, plus an isolated vertex
+        assert not is_block_graph(from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+
+    @staticmethod
+    def _networkx_answers(g):
+        """(is_forest, is_block_graph) by networkx: block graph iff every
+        biconnected component induces a clique; K0 counts as a forest."""
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(edge_pairs(g))
+        forest = g.n == 0 or nx.is_forest(h)
+        block = all(
+            all(h.has_edge(u, v) for u, v in itertools.combinations(comp, 2))
+            for comp in nx.biconnected_components(h))
+        return forest, block
 
     def test_block_graph_against_networkx(self, rng):
-        # block graph iff every biconnected component induces a clique
         for _ in range(60):
             g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.2, 0.4]))
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(edge_pairs(g))
-            want = all(
-                all(h.has_edge(u, v) or u == v
-                    for u, v in itertools.combinations(comp, 2))
-                for comp in nx.biconnected_components(h))
-            assert is_block_graph(g) == want
+            assert is_block_graph(g) == self._networkx_answers(g)[1]
+
+    def test_all_classes_against_networkx(self):
+        for n in range(8):
+            for g in enumerate_graphs(n):
+                assert (is_forest(g), is_block_graph(g)) == self._networkx_answers(g), g
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12), st.data())
+    def test_random_against_networkx(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]))
+        g = from_edges(n, edges)
+        assert (is_forest(g), is_block_graph(g)) == self._networkx_answers(g)
 
 
 class TestPerfection:
