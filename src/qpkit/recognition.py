@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .canonical import canonical_form, canonical_key
@@ -178,8 +179,20 @@ def _decode(key: bytes | str) -> Graph | None:
         return None
 
 
+def _well_formed(node: object) -> bool:
+    """node is a 4-sequence (pi, pk, pi_child, pk_child) of int, int, bytes, bytes."""
+    return (isinstance(node, (tuple, list)) and len(node) == 4
+            and all(isinstance(x, int) for x in node[:2])
+            and all(isinstance(x, bytes) for x in node[2:]))
+
+
+@lru_cache(maxsize=1 << 16)
 def _verify_node(key: bytes, node: Node) -> CertificateCheck:
-    """Every clause of one node, on the graph its key decodes to."""
+    """Every clause of one node, on the graph its key decodes to.
+
+    A pure function of (key, node), memoized per process on both, so a
+    node that differs from a checked one in any field is checked anew.
+    """
     pi, pk, pi_child, pk_child = node
     h = _decode(key)
     if h is None:
@@ -222,9 +235,12 @@ def _verify_node(key: bytes, node: Node) -> CertificateCheck:
 def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     """Re-derive every clause of the certificate; no recognition memo involved.
 
-    Each node reachable from the root is checked once, on the graph its
-    key decodes to, and each child key must be the canonical key of the
-    residue it names.
+    Each node reachable from the root is checked on the graph its key
+    decodes to, and each child key must be the canonical key of the
+    residue it names.  Each distinct (key, node) pair is checked once per
+    process: a later occurrence, in this certificate or another, reuses
+    that result.  The order, the root and the walk over the DAG are
+    checked on every call.
     """
     if len(cert.order) != g.n or sorted(cert.order) != list(range(g.n)):
         return _fail("order-not-permutation")
@@ -243,6 +259,9 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         node = cert.nodes.get(key)
         if node is None:
             return _fail("missing-node", key)
+        if not _well_formed(node):
+            return _fail("malformed-node", key)
+        node = tuple(node)
         check = _verify_node(key, node)
         if not check:
             return check
@@ -280,6 +299,17 @@ def coloring_from_certificate(g: Graph, cert: QpCertificate) -> dict[int, int]:
     return colors
 
 
+@lru_cache(maxsize=1 << 16)
+def _complement_form(key: bytes) -> tuple[bytes, tuple[int, ...]]:
+    """canonical_form of the complement of the graph key decodes to."""
+    if key == _K0_KEY:
+        return _K0_KEY, ()
+    rep = _decode(key)
+    if rep is None:
+        raise InvalidCertificateError("undecodable-key", repr(key))
+    return canonical_form(complement(rep))
+
+
 def complement_certificate(cert: QpCertificate) -> QpCertificate:
     """Certificate for the complement graph: swap the two prime roles.
 
@@ -288,22 +318,12 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     complementation, so each node maps to the complement of its class
     with pi and pk swapped and moved into that class's canonical slots.
     """
-    forms: dict[bytes, tuple[bytes, tuple[int, ...]]] = {_K0_KEY: (_K0_KEY, ())}
-
-    def form(key: bytes) -> tuple[bytes, tuple[int, ...]]:
-        if key not in forms:
-            rep = _decode(key)
-            if rep is None:
-                raise InvalidCertificateError("undecodable-key", repr(key))
-            forms[key] = canonical_form(complement(rep))
-        return forms[key]
-
     nodes: dict[bytes, Node] = {}
     for key, (pi, pk, pi_child, pk_child) in cert.nodes.items():
-        new_key, order = form(key)
+        new_key, order = _complement_form(key)
         nodes[new_key] = (_to_canonical(pk, order), _to_canonical(pi, order),
-                          form(pk_child)[0], form(pi_child)[0])
-    new_key, order = form(cert.key)
+                          _complement_form(pk_child)[0], _complement_form(pi_child)[0])
+    new_key, order = _complement_form(cert.key)
     return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
 

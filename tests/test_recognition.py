@@ -30,6 +30,8 @@ from qpkit.recognition import (
     QpCertificate,
     RecognitionEngine,
     RecognitionLimitError,
+    _complement_form,
+    _verify_node,
     certificate_from_json,
     certificate_to_json,
     coloring_from_certificate,
@@ -309,6 +311,53 @@ class TestCertificates:
         chk = verify_certificate(g, _with_node(cert, inner, pk_child=inner))
         assert (chk.ok, chk.reason, chk.node) == (False, "self-reference", inner)
 
+    def test_verify_accepts_list_nodes(self):
+        g, cert = self._family_cert()
+        as_lists = replace(cert, nodes={k: list(v) for k, v in cert.nodes.items()})
+        assert verify_certificate(g, as_lists) == verify_certificate(g, cert)
+        pi, pk, _, _ = cert.nodes[cert.key]
+        tampered = _with_node(cert, cert.key, pi=pi | pk)
+        listed = replace(tampered, nodes={**tampered.nodes,
+                                          cert.key: list(tampered.nodes[cert.key])})
+        assert verify_certificate(g, listed) == verify_certificate(g, tampered)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda node: node[:3],
+        lambda node: (str(node[0]),) + node[1:],
+        lambda node: node[:2] + (node[2].decode("ascii"), node[3]),
+        lambda node: 7,
+    ], ids=["three-tuple", "str-mask", "str-child", "not-a-sequence"])
+    def test_verify_rejects_malformed_node(self, mangle):
+        g, cert = self._family_cert()
+        inner = self._inner_key(cert)
+        nodes = {**cert.nodes, inner: mangle(cert.nodes[inner])}
+        chk = verify_certificate(g, replace(cert, nodes=nodes))
+        assert (chk.ok, chk.reason, chk.node) == (False, "malformed-node", inner)
+
+    def test_node_memo_keyed_on_content(self):
+        # a tampered node that shares its key with a verified one is checked
+        # in full, not answered from the memo entry of the verified node
+        g, cert = self._family_cert()
+        inner = self._inner_key(cert)
+        pi, pk, pi_child, _ = cert.nodes[cert.key]
+        wrong = next(k for k in cert.nodes if k not in (pi_child, cert.key))
+        variants = [
+            _with_node(cert, cert.key, pi=pi | pk),
+            _with_node(cert, cert.key, pk=pk | pi),
+            _with_node(cert, cert.key, pi=pi | 1 << g.n),
+            _with_node(cert, inner, pi=0),
+            _with_node(cert, cert.key, pi_child=wrong),
+            _with_node(cert, inner, pk_child=inner),
+        ]
+        for tampered in variants:
+            _verify_node.cache_clear()
+            assert verify_certificate(g, cert)
+            warm = verify_certificate(g, tampered)
+            _verify_node.cache_clear()
+            cold = verify_certificate(g, tampered)
+            assert not cold.ok
+            assert (warm.reason, warm.node) == (cold.reason, cold.node)
+
     def test_coloring_proper_with_omega_colors(self):
         eng = RecognitionEngine()
         for n in range(7):
@@ -485,6 +534,43 @@ class TestCertificateProperties:
     def test_symmetric_graphs(self, shared_engine, name):
         accepted = _check_certificate_properties(shared_engine, _named_graphs()[name])
         assert accepted == (name != "C5[2]")  # C5[2] has omega 4 < chi 5
+
+
+def _clear_memos():
+    _verify_node.cache_clear()
+    _complement_form.cache_clear()
+
+
+class TestVerificationMemo:
+    def test_warm_and_cold_memos_agree(self):
+        # every accepted class with n <= 7 and its complement certificate:
+        # the memos answer exactly as a cold check does
+        eng = RecognitionEngine()
+        certs = []
+        for n in range(8):
+            for g in enumerate_graphs(n):
+                out = eng.recognize(g)
+                if out.quasiperfect:
+                    certs.append((g, out.certificate))
+
+        def answers():
+            out = []
+            for g, cert in certs:
+                dual = complement_certificate(cert)
+                out.append((dual, verify_certificate(g, cert),
+                            verify_certificate(complement(g), dual)))
+            return out
+
+        answers()  # fills both memos
+        warm = answers()
+        for (g, cert), (dual, chk, dual_chk) in zip(certs, warm):
+            _clear_memos()
+            assert complement_certificate(cert) == dual
+            _clear_memos()
+            assert verify_certificate(g, cert) == chk
+            _clear_memos()
+            assert verify_certificate(complement(g), dual) == dual_chk
+            assert chk and dual_chk
 
 
 class TestComplementDuality:
