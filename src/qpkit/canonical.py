@@ -16,54 +16,86 @@ elected labeling.  The automorphisms the search records generate the
 whole automorphism group: every leaf with the elected bit string is
 either reached, yielding one of them, or the image under them of a leaf
 that is.
+
+Refinement never re-tests an inert splitter, a cell mask against which
+every cell has a single neighbor count: it stays inert on every finer
+partition.  The cells of a node's equitable partition are all inert, so
+a child, made by individualizing one vertex, starts with them skipped
+and tests only the two new cells and the cells their splits produce.  A
+skipped splitter would split nothing, so each round still applies the
+first splitter in cell order that splits a cell, as when every splitter
+is re-tested on every round: skipping changes neither the cell order nor
+any key.  A child's leading singletons extend its parent's, so the packed
+prefix code grows by the new columns only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from .graphs import Graph, emit_graph6, iter_bits, parse_graph6, permute
 
 CanonicalKey = bytes
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(adj: tuple[int, ...], cells: list[int],
+            inert: Iterable[int] | None = None) -> list[int]:
     """Equitable refinement of an ordered partition of cell masks.
 
-    Splits are ordered by ascending neighbor count, which depends only on
-    structure, so the refined partition is relabeling-invariant.
+    Each round applies the first splitter, in cell order, that splits some
+    cell: every cell is split by the number of neighbors its vertices have
+    in that splitter, fragments in ascending count order, and the round
+    restarts from the first cell.  Counts depend only on structure, so the
+    refined partition is relabeling-invariant.
+
+    A splitter mask is inert on a partition when every cell has a single
+    count against it, and then on every refinement too.  A tested splitter
+    is inert afterwards, whether it split anything or not, so it is never
+    tested again; a caller that knows masks inert on ``cells`` (the cells
+    of an equitable partition that ``cells`` refines) passes them as
+    ``inert``.  A skipped splitter would split nothing, so each round
+    still applies the first splitter in cell order that splits a cell,
+    and the output is that of testing every splitter on every round.
     """
-    changed = True
-    while changed:
-        changed = False
-        for splitter in list(cells):
-            new_cells: list[int] = []
+    done = set(inert) if inert else set()
+    i = 0
+    while i < len(cells):
+        splitter = cells[i]
+        i += 1
+        if splitter in done:
+            continue
+        done.add(splitter)
+        new_cells: list[int] = []
+        if splitter & (splitter - 1) == 0:
+            # one vertex u: counts are 1 on adj[u] and 0 off it
+            nbrs = adj[splitter.bit_length() - 1]
             for cell in cells:
-                if cell.bit_count() <= 1:
+                hit = cell & nbrs
+                if hit and hit != cell:
+                    new_cells += (cell ^ hit, hit)
+                else:
+                    new_cells.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1) == 0:
                     new_cells.append(cell)
                     continue
                 groups: dict[int, int] = {}
-                for v in iter_bits(cell):
-                    groups.setdefault((adj[v] & splitter).bit_count(), 0)
-                    groups[(adj[v] & splitter).bit_count()] |= 1 << v
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    c = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    groups[c] = groups.get(c, 0) | low
+                    rest ^= low
                 if len(groups) == 1:
                     new_cells.append(cell)
                 else:
-                    new_cells.extend(groups[c] for c in sorted(groups))
-                    changed = True
+                    new_cells += (groups[c] for c in sorted(groups))
+        if len(new_cells) != len(cells):
             cells = new_cells
-            if changed:
-                break
+            i = 0
     return cells
-
-
-def _code_of_order(adj: tuple[int, ...], order: list[int]) -> int:
-    code = 0
-    for j in range(1, len(order)):
-        oj = adj[order[j]]
-        for i in range(j):
-            code = code << 1 | (oj >> order[i] & 1)
-    return code
 
 
 def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -82,20 +114,25 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
     best_order: list[int] = []
     autos: list[list[int]] = []  # automorphisms found at tying leaves
 
-    def search(cells: list[int], path: list[int]) -> None:
+    def search(cells: list[int], path: list[int], inert: list[int] | None,
+               prefix: list[int], code: int) -> None:
+        # prefix holds the leading singletons of the parent, code their
+        # packed bits; refinement splits cells in place, so they lead here too
         nonlocal best_code, best_order
-        cells = _refine(adj, cells)
-        prefix: list[int] = []
-        for cell in cells:
-            if cell.bit_count() != 1:
+        cells = _refine(adj, cells, inert)
+        prefix = prefix[:]
+        for cell in cells[len(prefix):]:
+            if cell & (cell - 1):
                 break
+            col = adj[cell.bit_length() - 1]
+            for u in prefix:
+                code = code << 1 | (col >> u & 1)
             prefix.append(cell.bit_length() - 1)
         if best_order and len(prefix) > 1:
             pbits = len(prefix) * (len(prefix) - 1) // 2
-            if _code_of_order(adj, prefix) < best_code >> (total_bits - pbits):
+            if code < best_code >> (total_bits - pbits):
                 return
         if len(prefix) == n:
-            code = _code_of_order(adj, prefix)
             if code > best_code:
                 best_code, best_order = code, prefix
             elif code == best_code:
@@ -104,12 +141,14 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
                     gamma[b] = v
                 autos.append(gamma)
             return
-        target_idx = min(
-            (i for i, c in enumerate(cells) if c.bit_count() > 1),
-            key=lambda i: cells[i].bit_count(),
-        )
+        target_idx, size = 0, n + 1  # the first smallest non-singleton cell
+        for i, cell in enumerate(cells):
+            if 1 < cell.bit_count() < size:
+                target_idx, size = i, cell.bit_count()
         target = cells[target_idx]
-        # orbits of the found automorphisms that fix the path pointwise
+        head, tail = cells[:target_idx], cells[target_idx + 1:]
+        # orbits of the found automorphisms that fix the path pointwise,
+        # merged once a second branch needs them
         root = list(range(n))
 
         def find(v: int) -> int:
@@ -118,24 +157,23 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
             return v
 
         merged = 0
-        tried: set[int] = set()
+        tried: list[int] = []
         for v in iter_bits(target):
-            for gamma in autos[merged:]:
-                if all(gamma[u] == u for u in path):
-                    for u in range(n):
-                        root[find(u)] = find(gamma[u])
-            merged = len(autos)
-            if find(v) in {find(w) for w in tried}:
-                continue
-            tried.add(v)
-            branched = (
-                cells[:target_idx]
-                + [1 << v, target & ~(1 << v)]
-                + cells[target_idx + 1:]
-            )
-            search(branched, path + [v])
+            if tried:
+                for gamma in autos[merged:]:
+                    if all(gamma[u] == u for u in path):
+                        for u in range(n):
+                            root[find(u)] = find(gamma[u])
+                merged = len(autos)
+                orbit = find(v)
+                if any(find(w) == orbit for w in tried):
+                    continue
+            tried.append(v)
+            # every cell of the equitable parent is inert on the child
+            search(head + [1 << v, target & ~(1 << v)] + tail,
+                   path + [v], cells, prefix, code)
 
-    search([g.vertex_mask], [])
+    search([g.vertex_mask], [], None, [], 0)
     return tuple(best_order), autos
 
 

@@ -13,8 +13,13 @@ canonical keys.  Accepted classes store a certificate template in
 canonical coordinates together with the keys of its two residues, so a
 certificate is the set of templates reachable from the queried class: a
 DAG with one node per isomorphism class (maximal sharing, as in
-hash-consing), plus the queried graph's canonical order.  Results are
-bitwise deterministic for a given configuration.
+hash-consing), plus the queried graph's canonical order.
+
+Verdicts never depend on call order.  For a fixed configuration and a
+fixed sequence of calls, certificates are bitwise deterministic too; but
+a certificate's prime sets can depend on the order of calls, because the
+memo keeps the sets found on whichever labeled copy of a class reached it
+first.
 """
 
 from __future__ import annotations
@@ -172,7 +177,10 @@ def _fail(reason: str, node: bytes | None = None) -> CertificateCheck:
     return CertificateCheck(False, reason, node)
 
 
-def _decode(key: bytes | str) -> Graph | None:
+def _decode(key: object) -> Graph | None:
+    """The graph a key decodes to; None for malformed graph6 or a non-text key."""
+    if not isinstance(key, (bytes, str)):
+        return None
     try:
         return parse_graph6(key)
     except GraphFormatError:
@@ -317,9 +325,14 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     complement with the same vertices, and residues commute with
     complementation, so each node maps to the complement of its class
     with pi and pk swapped and moved into that class's canonical slots.
+    A node that is not (int, int, bytes, bytes) raises
+    InvalidCertificateError("malformed-node").
     """
     nodes: dict[bytes, Node] = {}
-    for key, (pi, pk, pi_child, pk_child) in cert.nodes.items():
+    for key, node in cert.nodes.items():
+        if not _well_formed(node):
+            raise InvalidCertificateError("malformed-node", repr(key))
+        pi, pk, pi_child, pk_child = node
         new_key, order = _complement_form(key)
         nodes[new_key] = (_to_canonical(pk, order), _to_canonical(pi, order),
                           _complement_form(pk_child)[0], _complement_form(pi_child)[0])

@@ -252,3 +252,52 @@ def enumerate_by_extension(n_max):
         ranked = sorted(reps.items(), key=lambda item: (item[1].m, item[0]))
         levels.append([g for _, g in ranked])
     return levels
+
+
+def restart_refine(adj, cells):
+    """Equitable refinement as the labeling search did it before inert
+    splitters were skipped: apply the first splitter, in cell order, that
+    splits some cell, then restart from the first cell.  Every splitter is
+    re-tested on every round.
+
+    Unlike the brute-force oracles above it follows the package's splitter
+    schedule, because it pins the package's cell order, and with it every
+    canonical key."""
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    changed = True
+    while changed:
+        changed = False
+        for splitter in list(cells):
+            new_cells = []
+            for cell in cells:
+                if cell.bit_count() <= 1:
+                    new_cells.append(cell)
+                    continue
+                groups = {}
+                for v in bits(cell):
+                    groups.setdefault((adj[v] & splitter).bit_count(), 0)
+                    groups[(adj[v] & splitter).bit_count()] |= 1 << v
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    new_cells.extend(groups[c] for c in sorted(groups))
+                    changed = True
+            cells = new_cells
+            if changed:
+                break
+    return cells
+
+
+def order_code(adj, order):
+    """Upper triangle of the graph relabeled by order (order[p] at slot p),
+    packed column by column into one int, first bit most significant."""
+    code = 0
+    for j in range(1, len(order)):
+        for i in range(j):
+            code = code << 1 | (adj[order[j]] >> order[i] & 1)
+    return code

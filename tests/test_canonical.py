@@ -1,15 +1,16 @@
 """Canonical forms: invariance, completeness, and the pruned search."""
 
+import hashlib
 import itertools
 import random
 import time
 
 import networkx as nx
 
+import oracles
 from conftest import edge_pairs, random_graph
 from qpkit.canonical import (
     _canonical_refined,
-    _code_of_order,
     _refine,
     automorphism_generators,
     canonical_form,
@@ -125,7 +126,8 @@ class TestForm:
 
     def test_pruning_keeps_elected_labeling(self, rng):
         # orbit pruning skips only images of searched subtrees, so the
-        # pruned search elects the same leaf as the unpruned one
+        # pruned search elects the same leaf as the unpruned one, which
+        # refines with the oracle's restart-from-scratch schedule
         graphs = [random_graph(rng, rng.randrange(2, 11), rng.choice([0.3, 0.5, 0.7]))
                   for _ in range(60)]
         graphs += [_disjoint_cliques(k, 3) for k in (2, 3)]
@@ -133,6 +135,56 @@ class TestForm:
         graphs += [_blowup(4, 2), _blowup(5, 2), cycle_graph(9)]
         for g in graphs:
             assert _canonical_refined(g)[0] == _unpruned_order(g)
+
+
+class TestRefinement:
+    @staticmethod
+    def _random_partition(rnd, n):
+        """Vertices shuffled, cut into runs, the runs in random order."""
+        vertices = list(range(n))
+        rnd.shuffle(vertices)
+        cuts = sorted(rnd.sample(range(1, n), rnd.randrange(n))) if n > 1 else []
+        cells = [sum(1 << v for v in vertices[a:b])
+                 for a, b in zip([0, *cuts], [*cuts, n])]
+        rnd.shuffle(cells)
+        return cells
+
+    def test_matches_restart_oracle(self, rng):
+        for _ in range(300):
+            n = rng.randrange(1, 17)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            cells = self._random_partition(rng, n)
+            assert _refine(g.adj, cells) == oracles.restart_refine(g.adj, cells)
+
+    def test_child_inherits_parent_cells(self, rng):
+        # every cell of an equitable partition is inert on its refinements,
+        # so the child skips them and still refines as the oracle does
+        graphs = [random_graph(rng, rng.randrange(2, 17), rng.choice([0.2, 0.5, 0.8]))
+                  for _ in range(120)]
+        graphs += [_disjoint_cliques(4, 3), _biclique(5, 6), _blowup(5, 3),
+                   cycle_graph(16), c5_blowup_with_apex(2)]
+        graphs += [complement(g) for g in graphs[-5:]]
+        checked = 0
+        for g in graphs:
+            for start in ([g.vertex_mask], self._random_partition(rng, g.n)):
+                parent = oracles.restart_refine(g.adj, start)
+                for i, cell in enumerate(parent):
+                    if cell.bit_count() < 2:
+                        continue
+                    for v in iter_bits(cell):
+                        child = parent[:i] + [1 << v, cell & ~(1 << v)] + parent[i + 1:]
+                        assert _refine(g.adj, child, inert=parent) == (
+                            oracles.restart_refine(g.adj, child))
+                        checked += 1
+        assert checked > 400
+
+    def test_keys_pinned_up_to_seven(self):
+        # sha256 over the key of every class with n <= 7, in enumeration
+        # order; a refinement that reorders cells changes keys and fails here
+        keys = [canonical_key(g) for n in range(8) for g in _all_classes(n)]
+        assert len(keys) == 1253
+        assert hashlib.sha256(b"".join(k + b"\n" for k in keys)).hexdigest() == (
+            "24edb46f80d8ce0559f619ee325be6867f61319658871b2a843181dfcecd48b8")
 
 
 class TestAutomorphisms:
@@ -248,17 +300,18 @@ def _blowup(c, t):
 
 
 def _unpruned_order(g):
-    """The refinement search without orbit pruning: first leaf of best code."""
+    """The refinement search without orbit pruning, inert splitters or
+    incremental codes: the first leaf of best code."""
     n = g.n
     if g.m in (0, n * (n - 1) // 2):
         return tuple(range(n))
     best = [-1, None]
 
     def search(cells):
-        cells = _refine(g.adj, cells)
+        cells = oracles.restart_refine(g.adj, cells)
         if all(c.bit_count() == 1 for c in cells):
             order = [c.bit_length() - 1 for c in cells]
-            code = _code_of_order(g.adj, order)
+            code = oracles.order_code(g.adj, order)
             if code > best[0]:
                 best[:] = [code, tuple(order)]
             return

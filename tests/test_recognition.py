@@ -334,6 +334,11 @@ class TestCertificates:
         chk = verify_certificate(g, replace(cert, nodes=nodes))
         assert (chk.ok, chk.reason, chk.node) == (False, "malformed-node", inner)
 
+    @pytest.mark.parametrize("key", [None, 0, ["?"]], ids=["none", "int", "list"])
+    def test_verify_rejects_non_text_root_key(self, key):
+        chk = verify_certificate(empty_graph(1), QpCertificate(key, (0,), {}))
+        assert (chk.ok, chk.reason) == (False, "undecodable-key")
+
     def test_node_memo_keyed_on_content(self):
         # a tampered node that shares its key with a verified one is checked
         # in full, not answered from the memo entry of the verified node
@@ -606,6 +611,14 @@ class TestComplementDuality:
         assert cc.key == cert.key
         assert {k: v[2:] for k, v in cc.nodes.items()} == \
             {k: v[2:] for k, v in cert.nodes.items()}
+
+    @pytest.mark.parametrize("node", [(1, 1, b"?"), (1, 1, "?", b"?"), 7],
+                             ids=["three-tuple", "str-child", "not-a-sequence"])
+    def test_malformed_node_raises(self, node):
+        cert = QpCertificate(b"@", (0,), {b"@": node})
+        with pytest.raises(InvalidCertificateError) as exc:
+            complement_certificate(cert)
+        assert exc.value.reason == "malformed-node"
 
     def test_leaf_self_dual(self):
         assert complement_certificate(_empty_certificate()) == _empty_certificate()
