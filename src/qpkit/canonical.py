@@ -7,7 +7,8 @@ decodes back to a concrete representative graph.
 One algorithm serves every graph size: an individualization-refinement
 search over ordered partitions elects the labeling with the largest
 packed upper-triangle bit string (column-major, the graph6 bit order)
-among the leaves it reaches.  Every leaf whose bit string ties the best
+among the leaves it reaches; that bit string is the key's payload, so the
+key is packed from it directly.  Every leaf whose bit string ties the best
 one yields an automorphism, and the search skips a branch vertex that
 such automorphisms (those fixing the branch's path) map onto a vertex
 already tried, as in McKay and Piperno's orbit pruning.  Skipped
@@ -34,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .graphs import Graph, emit_graph6, iter_bits, parse_graph6, permute
+from .graphs import Graph, graph6_of_code, iter_bits, parse_graph6
 
 CanonicalKey = bytes
 
@@ -98,17 +99,19 @@ def _refine(adj: tuple[int, ...], cells: list[int],
     return cells
 
 
-def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The elected order, and automorphisms that generate Aut(g).
+def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]:
+    """The elected order, its code, and automorphisms that generate Aut(g).
 
-    Each automorphism is a list gamma with gamma[v] the image of v.
+    The code is the upper-triangle bit string of g relabeled by the order,
+    in graph6 order.  Each automorphism is a list gamma with gamma[v] the
+    image of v.
     """
     n = g.n
     total_bits = n * (n - 1) // 2
     if g.m == 0 or g.m == total_bits:
         # the symmetric group: a transposition and an n-cycle generate it
         gens = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
-        return tuple(range(n)), gens
+        return tuple(range(n)), (1 << g.m) - 1, gens
     adj = g.adj
     best_code = -1
     best_order: list[int] = []
@@ -174,18 +177,14 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
                    path + [v], cells, prefix, code)
 
     search([g.vertex_mask], [], None, [], 0)
-    return tuple(best_order), autos
+    return tuple(best_order), best_code, autos
 
 
 @lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:
     """Key bytes plus the order array (order[p] = original vertex at slot p)."""
-    order, _ = _canonical_refined(g)
-    inverse = [0] * g.n
-    for p, v in enumerate(order):
-        inverse[v] = p
-    key = emit_graph6(permute(g, inverse)).encode("ascii")
-    return key, order
+    order, code, _ = _canonical_refined(g)
+    return graph6_of_code(g.n, code), order
 
 
 def canonical_key(g: Graph) -> CanonicalKey:
@@ -194,7 +193,7 @@ def canonical_key(g: Graph) -> CanonicalKey:
 
 def automorphism_generators(g: Graph) -> list[list[int]]:
     """Permutations gamma (v maps to gamma[v]) that generate Aut(g)."""
-    return _canonical_refined(g)[1]
+    return _canonical_refined(g)[2]
 
 
 def max_codes_batch(graphs: list[Graph], n: int) -> list[CanonicalKey]:

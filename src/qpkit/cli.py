@@ -44,9 +44,12 @@ def _recognition_limit() -> int:
     if raw is None:
         return DEFAULT_RECOGNITION_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise ValueError(f"{LIMIT_ENV} must be an integer, got {raw!r}") from exc
+    if limit < 0:
+        raise ValueError(f"{LIMIT_ENV} must be at least 0, got {limit}")
+    return limit
 
 
 def _thread_count(raw: str) -> int:

@@ -238,21 +238,26 @@ def parse_graph6(text: str | bytes) -> Graph:
     return _trusted(n, tuple(adj))
 
 
+def graph6_of_code(n: int, code: int) -> bytes:
+    """graph6 bytes of the graph on n vertices with upper-triangle bits code.
+
+    code holds the n(n-1)/2 pairs column by column, in graph6 order, with
+    the pair (0, 1) in its most significant bit.
+    """
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    code <<= need * 6 - nbits
+    return _g6_size_header(n) + bytes(
+        (code >> 6 * k & 63) + 63 for k in range(need - 1, -1, -1))
+
+
 def emit_graph6(g: Graph) -> str:
-    out = bytearray(_g6_size_header(g.n))
-    acc = 0
-    filled = 0
+    code = 0
     for j in range(1, g.n):
+        col = g.adj[j]
         for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc = 0
-                filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return out.decode("ascii")
+            code = code << 1 | (col >> i & 1)
+    return graph6_of_code(g.n, code).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

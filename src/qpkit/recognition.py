@@ -9,17 +9,16 @@ A graph is quasiperfect when it is empty, or when both of these hold:
 
 Recognition searches candidate prime sets in a fixed order (increasing
 size, then lexicographic), memoizing verdicts per isomorphism class via
-canonical keys.  Accepted classes store a certificate template in
-canonical coordinates together with the keys of its two residues, so a
-certificate is the set of templates reachable from the queried class: a
-DAG with one node per isomorphism class (maximal sharing, as in
-hash-consing), plus the queried graph's canonical order.
+canonical keys.  A class is analyzed on the graph its key decodes to,
+never on the labeled copy that reached it, so the memo entry of an
+accepted class is its certificate node: the first accepted prime
+independent set and prime clique, as masks over that graph, and the keys
+of their residues.  A certificate is the set of nodes reachable from the
+queried class: a DAG with one node per isomorphism class (maximal
+sharing, as in hash-consing), plus the queried graph's canonical order.
 
-Verdicts never depend on call order.  For a fixed configuration and a
-fixed sequence of calls, certificates are bitwise deterministic too; but
-a certificate's prime sets can depend on the order of calls, because the
-memo keeps the sets found on whichever labeled copy of a class reached it
-first.
+Verdicts and certificates are functions of the graph alone: neither
+depends on the mode or on what the engine recognized before.
 """
 
 from __future__ import annotations
@@ -318,6 +317,11 @@ def _complement_form(key: bytes) -> tuple[bytes, tuple[int, ...]]:
     return canonical_form(complement(rep))
 
 
+def _to_canonical(mask: int, order: tuple[int, ...]) -> int:
+    """Vertex mask relabeled into canonical slots (order[p] sits at slot p)."""
+    return sum(1 << p for p, v in enumerate(order) if mask >> v & 1)
+
+
 def complement_certificate(cert: QpCertificate) -> QpCertificate:
     """Certificate for the complement graph: swap the two prime roles.
 
@@ -437,30 +441,6 @@ class RecognitionOutcome:
     stats: RecognitionStats
 
 
-@dataclass
-class _Entry:
-    """Memo entry of one class.
-
-    A class accepted under the conjunctive reading carries its template:
-    pi and pk in the canonical slots of the class and the keys of their
-    residues.
-    """
-
-    verdict: bool
-    pi_canon: int = 0
-    pk_canon: int = 0
-    pi_child: bytes | None = None
-    pk_child: bytes | None = None
-
-
-_EMPTY_ENTRY = _Entry(True)
-
-
-def _to_canonical(mask: int, order: tuple[int, ...]) -> int:
-    """Vertex mask relabeled into canonical slots (order[p] sits at slot p)."""
-    return sum(1 << p for p, v in enumerate(order) if mask >> v & 1)
-
-
 class RecognitionEngine:
     """Memoized quasiperfect recognizer.
 
@@ -487,7 +467,7 @@ class RecognitionEngine:
         self.limit = limit
         self.reading = reading
         self.memo_capacity = memo_capacity
-        self._memo: dict[bytes, _Entry] = {}
+        self._memo: dict[bytes, bool | Node] = {}
         self._nodes = 0
         self._hits = 0
 
@@ -512,16 +492,23 @@ class RecognitionEngine:
 
     # -- internals
 
-    def _store(self, key: bytes, entry: _Entry) -> None:
+    def _store(self, key: bytes, entry: bool | Node) -> None:
         if len(self._memo) >= self.memo_capacity and key not in self._memo:
             raise MemoCapacityError(
                 f"recognition memo exceeded {self.memo_capacity} entries")
         self._memo[key] = entry
 
-    def _lookup(self, g: Graph) -> tuple[bytes, _Entry]:
-        """Key and memo entry of g's class, analyzing the class on a miss."""
+    def _lookup(self, g: Graph) -> tuple[bytes, bool | Node]:
+        """Key and memo entry of g's class, analyzing the class on a miss.
+
+        A miss analyzes the graph the key decodes to, never g itself, so
+        the entry depends on the class alone: False when rejected, True
+        when accepted under the disjunctive reading (and for K0), and the
+        certificate node (pi, pk, pi_child, pk_child) when accepted under
+        the conjunctive reading.
+        """
         if g.n == 0:
-            return _K0_KEY, _EMPTY_ENTRY
+            return _K0_KEY, True
         if g.n > self.limit:
             raise RecognitionLimitError(
                 f"recognition on {g.n} vertices exceeds limit {self.limit}")
@@ -531,43 +518,41 @@ class RecognitionEngine:
             self._hits += 1
             return key, entry
         self._nodes += 1
-        entry = self._analyze(g)
+        entry = self._analyze(parse_graph6(key))
         self._store(key, entry)
         return key, entry
 
     def _verdict(self, g: Graph) -> bool:
-        return self._lookup(g)[1].verdict
+        return bool(self._lookup(g)[1])
 
     def _first_branch(self, g: Graph, candidates: Iterator[int]) -> tuple[int, bytes] | None:
         """First candidate whose residue is accepted, with the residue's key."""
         full = g.vertex_mask
         for mask in candidates:
             key, entry = self._lookup(induced_subgraph(g, full & ~mask))
-            if entry.verdict:
+            if entry:
                 return mask, key
         return None
 
-    def _analyze(self, g: Graph) -> _Entry:
+    def _analyze(self, g: Graph) -> bool | Node:
         if self.mode == "accelerated" and self.reading == "conjunctive":
             # the early rejection leans on the conjunctive reading: the coloring
             # argument rides the PI chain, so a one-sided acceptance under
             # the disjunctive reading may well have unequal invariants
             if clique_number(g) != chromatic_number(g):
-                return _Entry(False)
+                return False
         pi = self._first_branch(g, prime_independent_sets(g))
         if self.reading == "disjunctive":
-            return _Entry(pi is not None or self._first_branch(g, prime_cliques(g)) is not None)
+            return pi is not None or self._first_branch(g, prime_cliques(g)) is not None
         if pi is None:
-            return _Entry(False)
+            return False
         pk = self._first_branch(g, prime_cliques(g))
         if pk is None:
-            return _Entry(False)
-        _, order = canonical_form(g)
-        return _Entry(True, _to_canonical(pi[0], order), _to_canonical(pk[0], order),
-                      pi[1], pk[1])
+            return False
+        return pi[0], pk[0], pi[1], pk[1]
 
     def _materialize(self, g: Graph) -> QpCertificate:
-        """The certificate of an accepted g: a walk over memo templates."""
+        """The certificate of an accepted g: its order and the memo nodes it reaches."""
         key, order = canonical_form(g)
         nodes: dict[bytes, Node] = {}
         stack = [key]
@@ -575,9 +560,8 @@ class RecognitionEngine:
             k = stack.pop()
             if k == _K0_KEY or k in nodes:
                 continue
-            entry = self._memo[k]
-            nodes[k] = (entry.pi_canon, entry.pk_canon, entry.pi_child, entry.pk_child)
-            stack += (entry.pi_child, entry.pk_child)
+            nodes[k] = self._memo[k]
+            stack += nodes[k][2:]
         return QpCertificate(key, order, nodes)
 
 

@@ -32,7 +32,7 @@ from qpkit.graphs import (
 
 
 def _refined_key(g):
-    order, _ = _canonical_refined(g)
+    order, _, _ = _canonical_refined(g)
     inv = [0] * g.n
     for p, v in enumerate(order):
         inv[v] = p
@@ -198,7 +198,7 @@ class TestAutomorphisms:
         graphs = [g for n in range(7) for g in _all_classes(n)]
         graphs += [_disjoint_cliques(5, 3), _biclique(6, 6)]
         for g in graphs:
-            _, autos = _canonical_refined(g)
+            _, _, autos = _canonical_refined(g)
             assert all(self._is_automorphism(g, gamma) for gamma in autos)
 
     def test_they_generate_the_whole_group(self):

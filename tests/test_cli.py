@@ -89,6 +89,21 @@ class TestClassify:
         assert captured.out == ""
         assert "QPKIT_LIMIT must be an integer" in captured.err
 
+    def test_negative_limit_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("QPKIT_LIMIT", "-1")
+        code, _ = run(["classify", "-"], C5, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "QPKIT_LIMIT must be at least 0" in captured.err
+
+    def test_cert_out_independent_of_input_order(self, tmp_path, monkeypatch, capsys):
+        # DEk classified after CU gets the certificate it gets alone
+        pair, alone = tmp_path / "pair.json", tmp_path / "alone.json"
+        run(["classify", "-", "--cert-out", str(pair)], "CU\nDEk\n", monkeypatch, capsys)
+        run(["classify", "-", "--cert-out", str(alone)], "DEk\n", monkeypatch, capsys)
+        assert (tmp_path / "pair-1.json").read_text() == alone.read_text()
+
     def test_deterministic(self, monkeypatch, capsys):
         _, out1 = run(["classify", "-"], C5, monkeypatch, capsys)
         _, out2 = run(["classify", "-"], C5, monkeypatch, capsys)

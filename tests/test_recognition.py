@@ -1,5 +1,6 @@
 """Recognition engine, prime-set predicates, and certificate machinery."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from qpkit.graphs import (
     mask_of,
     parse_graph6,
     path_graph,
+    permute,
 )
 from qpkit.harness import enumerate_graphs
 from qpkit.invariants import clique_number, chromatic_number
@@ -170,7 +172,6 @@ class TestRecognition:
                     eng.recognize(g)
 
     def test_isomorphic_inputs_share_memo(self, rng):
-        from qpkit.graphs import permute
         eng = RecognitionEngine()
         g = odd_cycle_family(FamilySpec(5, (1, 4))).graph
         out1 = eng.recognize(g)
@@ -524,6 +525,45 @@ def _check_certificate_properties(engine, g):
     assert all(coloring[u] != coloring[v] for u, v in g.edges())
     assert len(set(coloring.values())) == clique_number(g)
     return True
+
+
+class TestCertificateDeterminism:
+    """A certificate is a function of the graph alone."""
+
+    @staticmethod
+    def _texts(engine, graphs, order):
+        out = {}
+        for i in order:
+            res = engine.recognize(graphs[i])
+            if res.quasiperfect:
+                out[i] = certificate_to_json(graphs[i], res.certificate)
+        return out
+
+    def test_independent_of_call_order_and_mode(self, rng):
+        graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+        idx = range(len(graphs))
+        shared = self._texts(RecognitionEngine(), graphs, idx)
+        assert len(shared) == 202
+        assert self._texts(RecognitionEngine(), graphs, reversed(idx)) == shared
+        assert self._texts(RecognitionEngine(mode="pure"), graphs, idx) == shared
+        warmed = RecognitionEngine()  # every class first reached through another labeling
+        for g in reversed(graphs):
+            warmed.recognize(permute(g, rng.sample(range(g.n), g.n)))
+        assert self._texts(warmed, graphs, idx) == shared
+        for i, text in shared.items():
+            assert self._texts(RecognitionEngine(), graphs, [i]) == {i: text}
+
+    def test_certificates_pinned_up_to_seven(self):
+        # sha256 over the certificate_to_json text of every accepted class
+        # with n <= 7, in enumeration order; a change to the search order
+        # of prime sets or to the certificate layout fails here
+        eng = RecognitionEngine()
+        texts = [certificate_to_json(g, out.certificate)
+                 for n in range(8) for g in enumerate_graphs(n)
+                 for out in [eng.recognize(g)] if out.quasiperfect]
+        assert len(texts) == 1192
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "e7c04550ae07df13b3163ca0b49743bba1dee84fd70468f8e8b687047a3de2ab")
 
 
 class TestCertificateProperties:
