@@ -67,33 +67,37 @@ def _refine(adj: tuple[int, ...], cells: list[int],
         if splitter in done:
             continue
         done.add(splitter)
-        new_cells: list[int] = []
+        # built from the first split cell on: most splitters split nothing
+        new_cells: list[int] | None = None
         if splitter & (splitter - 1) == 0:
             # one vertex u: counts are 1 on adj[u] and 0 off it
             nbrs = adj[splitter.bit_length() - 1]
             for cell in cells:
                 hit = cell & nbrs
                 if hit and hit != cell:
+                    if new_cells is None:
+                        new_cells = cells[:cells.index(cell)]
                     new_cells += (cell ^ hit, hit)
-                else:
+                elif new_cells is not None:
                     new_cells.append(cell)
         else:
             for cell in cells:
-                if cell & (cell - 1) == 0:
+                if cell & (cell - 1):
+                    groups: dict[int, int] = {}
+                    rest = cell
+                    while rest:
+                        low = rest & -rest
+                        c = (adj[low.bit_length() - 1] & splitter).bit_count()
+                        groups[c] = groups.get(c, 0) | low
+                        rest ^= low
+                    if len(groups) > 1:
+                        if new_cells is None:
+                            new_cells = cells[:cells.index(cell)]
+                        new_cells += (groups[c] for c in sorted(groups))
+                        continue
+                if new_cells is not None:
                     new_cells.append(cell)
-                    continue
-                groups: dict[int, int] = {}
-                rest = cell
-                while rest:
-                    low = rest & -rest
-                    c = (adj[low.bit_length() - 1] & splitter).bit_count()
-                    groups[c] = groups.get(c, 0) | low
-                    rest ^= low
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                else:
-                    new_cells += (groups[c] for c in sorted(groups))
-        if len(new_cells) != len(cells):
+        if new_cells is not None:
             cells = new_cells
             i = 0
     return cells
@@ -106,12 +110,12 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
     in graph6 order.  Each automorphism is a list gamma with gamma[v] the
     image of v.
     """
-    n = g.n
+    n, m = g.n, g.m
     total_bits = n * (n - 1) // 2
-    if g.m == 0 or g.m == total_bits:
+    if m == 0 or m == total_bits:
         # the symmetric group: a transposition and an n-cycle generate it
         gens = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
-        return tuple(range(n)), (1 << g.m) - 1, gens
+        return tuple(range(n)), (1 << m) - 1, gens
     adj = g.adj
     best_code = -1
     best_order: list[int] = []

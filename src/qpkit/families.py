@@ -187,17 +187,28 @@ def replicate(g: Graph, t: Sequence[int] | Mapping[int, int]) -> Graph:
 def lovasz_prime_clique(g: Graph) -> int:
     """Prime clique of a perfect graph as a maximum-weight clique.
 
-    Vertex v weighs the number of maximum independent sets containing it,
-    which is its multiplicity in Lovasz's replication argument: the
-    replicated graph is perfect, so its clique number equals the number
-    of maximum independent sets, and a clique reaching that weight meets
-    every one of them.  Vertices of weight zero lie in none and are left
-    out, so every member is covered.  Ties go to the smallest mask.
+    Raises ValueError for an empty or imperfect graph; the search itself
+    is replication_prime_clique.
     """
     if g.n < 1:
         raise ValueError("needs at least one vertex")
     if not is_perfect(g):
         raise ValueError("input graph is not perfect")
+    return replication_prime_clique(g)
+
+
+def replication_prime_clique(g: Graph) -> int:
+    """The maximum-weight clique behind lovasz_prime_clique, for a nonempty perfect g.
+
+    Vertex v weighs the number of maximum independent sets containing it,
+    which is its multiplicity in Lovasz's replication argument: the
+    replicated graph is perfect, so its clique number equals the number
+    of maximum independent sets, and a clique reaching that weight meets
+    every one of them.  Vertices of weight zero lie in none and are left
+    out, so every member is covered.  Ties go to the smallest mask.  The
+    caller vouches for perfection; a clique short of the weight raises
+    RuntimeError.
+    """
     stables = maximum_independent_sets(g)
     weight = [sum(1 for s in stables if s >> v & 1) for v in range(g.n)]
 

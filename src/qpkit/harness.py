@@ -24,6 +24,7 @@ from .graphs import (
     emit_graph6,
     induced_subgraph,
     mask_of,
+    parse_graph6,
 )
 from .invariants import (
     DEFAULT_PERFECTION_LIMIT,
@@ -34,7 +35,7 @@ from .invariants import (
     is_perfect,
     optimal_colorings,
 )
-from .families import lovasz_prime_clique
+from .families import replication_prime_clique
 from .recognition import (
     RecognitionEngine,
     RecognitionLimitError,
@@ -265,13 +266,20 @@ def _theorem1_item(recognizer, g: Graph) -> bool:
 
 
 def _theorem2_item(g: Graph) -> bool:
+    """Verdicts of g and its complement agree, and the dual certificate verifies.
+
+    The complement's verdict is asked of the complement of the graph g's
+    key decodes to: the class is the same, and it is the graph whose
+    labeling complement_certificate reuses, so the class is labeled once.
+    The dual certificate is verified against complement(g) itself.
+    """
     eng = _engine("conjunctive")
-    gc = complement(g)
     out = eng.recognize(g)
-    if out.quasiperfect != eng.is_quasiperfect(gc):
+    dual_rep = complement(parse_graph6(canonical_key(g)))
+    if out.quasiperfect != eng.is_quasiperfect(dual_rep):
         return False
     return not out.quasiperfect or bool(
-        verify_certificate(gc, complement_certificate(out.certificate)))
+        verify_certificate(complement(g), complement_certificate(out.certificate)))
 
 
 def _perfect_subset_item(g: Graph) -> bool:
@@ -279,7 +287,8 @@ def _perfect_subset_item(g: Graph) -> bool:
         return True
     if not _pure_quasiperfect(g):
         return False
-    return g.n == 0 or is_prime_clique(g, lovasz_prime_clique(g))
+    # g is perfect, so the weight search needs no second odd-hole test
+    return g.n == 0 or is_prime_clique(g, replication_prime_clique(g))
 
 
 def _removal_item(all_colorings: bool, g: Graph) -> list[bool] | None:

@@ -17,28 +17,43 @@ class PerfectionLimitError(RuntimeError):
     """Perfection test requested past the configured vertex limit."""
 
 
-def maximal_cliques(g: Graph) -> Iterator[int]:
-    """Bron-Kerbosch with pivoting; yields maximal clique masks."""
-    adj = g.adj
+def maximal_cliques(g: Graph) -> list[int]:
+    """Every maximal clique mask, once each, by Bron-Kerbosch with pivoting.
 
-    def expand(r: int, p: int, x: int) -> Iterator[int]:
-        if p == 0 and x == 0:
-            yield r
-            return
-        # pivot: vertex of p|x covering the most of p
-        pivot, cover = -1, -1
-        for u in iter_bits(p | x):
-            c = (p & adj[u]).bit_count()
+    The pivot is the first vertex of P | X, in vertex order, with the most
+    neighbours in P; the branches take the vertices of P outside its
+    neighbourhood in vertex order.  A plain recursion fills one list, and
+    a branch that leaves P empty is settled without a call: its clique is
+    maximal exactly when X is empty too.
+    """
+    adj = g.adj
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:  # p is never empty
+        pivot_nbrs, cover = 0, -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            c = (p & nbrs).bit_count()
             if c > cover:
-                pivot, cover = u, c
-        rest = p & ~adj[pivot]
-        for v in iter_bits(rest):
-            yield from expand(r | 1 << v, p & adj[v], x & adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+                pivot_nbrs, cover = nbrs, c
+        rest = p & ~pivot_nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            if p & nbrs:
+                expand(r | low, p & nbrs, x & nbrs)
+            elif not x & nbrs:
+                out.append(r | low)
+            p ^= low
+            x |= low
 
     if g.n:
-        yield from expand(0, g.vertex_mask, 0)
+        expand(0, g.vertex_mask, 0)
+    return out
 
 
 def clique_number(g: Graph) -> int:
@@ -55,7 +70,7 @@ def maximum_cliques(g: Graph) -> list[int]:
     """
     if g.n == 0:
         return []
-    cliques = list(maximal_cliques(g))
+    cliques = maximal_cliques(g)
     w = max(c.bit_count() for c in cliques)
     return sorted(c for c in cliques if c.bit_count() == w)
 

@@ -188,9 +188,11 @@ def _decode(key: object) -> Graph | None:
 
 def _well_formed(node: object) -> bool:
     """node is a 4-sequence (pi, pk, pi_child, pk_child) of int, int, bytes, bytes."""
-    return (isinstance(node, (tuple, list)) and len(node) == 4
-            and all(isinstance(x, int) for x in node[:2])
-            and all(isinstance(x, bytes) for x in node[2:]))
+    if not isinstance(node, (tuple, list)) or len(node) != 4:
+        return False
+    pi, pk, pi_child, pk_child = node
+    return (isinstance(pi, int) and isinstance(pk, int)
+            and isinstance(pi_child, bytes) and isinstance(pk_child, bytes))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -322,6 +324,19 @@ def _to_canonical(mask: int, order: tuple[int, ...]) -> int:
     return sum(1 << p for p, v in enumerate(order) if mask >> v & 1)
 
 
+@lru_cache(maxsize=1 << 16)
+def _complement_node(key: bytes, node: Node) -> tuple[bytes, Node]:
+    """The complement class's key and node for one (key, node) pair.
+
+    A pure function of both, memoized per process like _verify_node, so a
+    node that differs from a translated one in any field is translated anew.
+    """
+    pi, pk, pi_child, pk_child = node
+    new_key, order = _complement_form(key)
+    return new_key, (_to_canonical(pk, order), _to_canonical(pi, order),
+                     _complement_form(pk_child)[0], _complement_form(pi_child)[0])
+
+
 def complement_certificate(cert: QpCertificate) -> QpCertificate:
     """Certificate for the complement graph: swap the two prime roles.
 
@@ -329,17 +344,16 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     complement with the same vertices, and residues commute with
     complementation, so each node maps to the complement of its class
     with pi and pk swapped and moved into that class's canonical slots.
-    A node that is not (int, int, bytes, bytes) raises
+    Each distinct (key, node) pair is translated once per process.  A
+    node that is not (int, int, bytes, bytes) raises
     InvalidCertificateError("malformed-node").
     """
     nodes: dict[bytes, Node] = {}
     for key, node in cert.nodes.items():
         if not _well_formed(node):
             raise InvalidCertificateError("malformed-node", repr(key))
-        pi, pk, pi_child, pk_child = node
-        new_key, order = _complement_form(key)
-        nodes[new_key] = (_to_canonical(pk, order), _to_canonical(pi, order),
-                          _complement_form(pk_child)[0], _complement_form(pi_child)[0])
+        new_key, new_node = _complement_node(key, tuple(node))
+        nodes[new_key] = new_node
     new_key, order = _complement_form(cert.key)
     return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 

@@ -51,6 +51,17 @@ def oracle_max_cliques(n, edges):
     return out
 
 
+def oracle_maximal_cliques(n, edges):
+    """Every inclusion-maximal clique, as a sorted list of frozensets."""
+    a = adj_dict(n, edges)
+    cliques = [frozenset(combo) for r in range(1, n + 1)
+               for combo in itertools.combinations(range(n), r)
+               if oracle_is_clique(a, combo)]
+    return sorted((c for c in cliques
+                   if not any(v not in c and all(v in a[u] for u in c) for v in range(n))),
+                  key=sorted)
+
+
 def oracle_omega(n, edges):
     cliques = oracle_max_cliques(n, edges)
     return max((len(c) for c in cliques), default=0)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import oracles
-from qpkit import harness
+from qpkit import families, harness
 from qpkit.canonical import canonical_form, canonical_key
 from qpkit.graphs import (
     complete_graph,
@@ -32,7 +32,12 @@ from qpkit.harness import (
     write_records_csv,
 )
 from qpkit.invariants import PerfectionChecker
-from qpkit.recognition import RecognitionEngine, RecognitionLimitError
+from qpkit.recognition import (
+    QpCertificate,
+    RecognitionEngine,
+    RecognitionLimitError,
+    is_prime_clique,
+)
 
 
 # OEIS A000088
@@ -155,6 +160,54 @@ class TestTheoremSuites:
     def test_perfect_subset_clean(self):
         report = verify_perfect_subset(5)
         assert report.passed
+
+    def test_theorem2_catches_tampered_dual_certificate(self, monkeypatch):
+        real = harness.complement_certificate
+
+        def flip_root_pk_bit(cert):
+            dual = real(cert)
+            if dual.key not in dual.nodes:
+                return dual
+            pi, pk, pi_child, pk_child = dual.nodes[dual.key]
+            nodes = {**dual.nodes, dual.key: (pi, pk ^ 1, pi_child, pk_child)}
+            return QpCertificate(dual.key, dual.order, nodes)
+
+        monkeypatch.setattr(harness, "complement_certificate", flip_root_pk_bit)
+        report = verify_theorem2(5)
+        assert not report.passed
+        assert "@" in report.violations  # K1: its dual's only prime clique is {0}
+
+    def test_theorem2_catches_flipped_complement_verdict(self, monkeypatch):
+        # the item asks is_quasiperfect for the complement's verdict only
+        real = RecognitionEngine.is_quasiperfect
+        monkeypatch.setattr(RecognitionEngine, "is_quasiperfect",
+                            lambda self, g: not real(self, g))
+        report = verify_theorem2(4)
+        assert len(report.violations) == report.graphs_scanned == 19
+
+    def test_perfect_subset_catches_non_prime_clique(self, monkeypatch):
+        real = harness.replication_prime_clique
+
+        def drop_lowest_vertex(g):
+            q = real(g)
+            return q & (q - 1)
+
+        monkeypatch.setattr(harness, "replication_prime_clique", drop_lowest_vertex)
+        report = verify_perfect_subset(4)
+        assert not report.passed
+        assert "@" in report.violations  # K1 is left the empty set
+        for g6 in report.violations:
+            g = parse_graph6(g6)
+            assert not is_prime_clique(g, drop_lowest_vertex(g))
+
+    def test_perfect_subset_tests_each_graph_once_for_perfection(self, monkeypatch):
+        calls = []
+        real = harness.is_perfect
+        monkeypatch.setattr(harness, "is_perfect", lambda g: calls.append(g) or real(g))
+        monkeypatch.setattr(families, "is_perfect", lambda g: pytest.fail("second test"))
+        report = verify_perfect_subset(5)
+        assert report.passed
+        assert len(calls) == report.graphs_scanned == 53
 
     @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
     def test_parallel_matches_serial(self, suite):

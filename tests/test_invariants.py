@@ -30,6 +30,7 @@ from qpkit.invariants import (
     is_block_graph,
     is_forest,
     is_perfect,
+    maximal_cliques,
     maximum_cliques,
     maximum_independent_sets,
     optimal_colorings,
@@ -62,6 +63,23 @@ class TestCliqueAndIndependence:
                 want = oracles.oracle_max_cliques(n, edges)
                 got = {frozenset(bit_members(m)) for m in maximum_cliques(g)}
                 assert got == want, (n, edges)
+
+    @staticmethod
+    def _assert_maximal_cliques(g):
+        got = [frozenset(bit_members(q)) for q in maximal_cliques(g)]
+        assert len(got) == len(set(got)), oracles.graph_edges(g)  # each listed once
+        assert sorted(got, key=sorted) == oracles.oracle_maximal_cliques(
+            g.n, oracles.graph_edges(g)), oracles.graph_edges(g)
+
+    def test_maximal_cliques_every_class_up_to_six(self):
+        for n in range(7):
+            for g in enumerate_graphs(n):
+                self._assert_maximal_cliques(g)
+
+    def test_maximal_cliques_random_up_to_ten(self, rng):
+        for _ in range(60):
+            n = rng.randrange(0, 11)
+            self._assert_maximal_cliques(random_graph(rng, n, rng.choice((0.2, 0.5, 0.8))))
 
     def test_max_independent_dual(self, rng):
         for _ in range(25):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
-from qpkit.canonical import canonical_key
+from qpkit.canonical import canonical_form, canonical_key
 from qpkit.families import FamilySpec, odd_cycle_family, replicate
 from qpkit.graphs import (
     bit_members,
@@ -33,6 +33,7 @@ from qpkit.recognition import (
     RecognitionEngine,
     RecognitionLimitError,
     _complement_form,
+    _complement_node,
     _verify_node,
     certificate_from_json,
     certificate_to_json,
@@ -584,6 +585,25 @@ class TestCertificateProperties:
 def _clear_memos():
     _verify_node.cache_clear()
     _complement_form.cache_clear()
+    _complement_node.cache_clear()
+
+
+def _translate_unmemoized(cert):
+    """complement_certificate written out with no memo of its own."""
+
+    def form(key):
+        return (b"?", ()) if key == b"?" else canonical_form(complement(parse_graph6(key)))
+
+    def slots(mask, order):
+        return mask_of(p for p, v in enumerate(order) if mask >> v & 1)
+
+    nodes = {}
+    for key, (pi, pk, pi_child, pk_child) in cert.nodes.items():
+        new_key, order = form(key)
+        nodes[new_key] = (slots(pk, order), slots(pi, order),
+                          form(pk_child)[0], form(pi_child)[0])
+    new_key, order = form(cert.key)
+    return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
 
 class TestVerificationMemo:
@@ -651,6 +671,33 @@ class TestComplementDuality:
         assert cc.key == cert.key
         assert {k: v[2:] for k, v in cc.nodes.items()} == \
             {k: v[2:] for k, v in cert.nodes.items()}
+
+    def test_matches_unmemoized_translation(self):
+        eng = RecognitionEngine()
+        count = 0
+        for n in range(7):
+            for g in enumerate_graphs(n):
+                out = eng.recognize(g)
+                if out.quasiperfect:
+                    assert complement_certificate(out.certificate) == \
+                        _translate_unmemoized(out.certificate), oracles.graph_edges(g)
+                    count += 1
+        assert count == 202
+
+    def test_tampered_node_translated_anew(self):
+        # a node that shares its key with a translated one is translated in
+        # full, not answered from the memo entry of the first
+        fg = odd_cycle_family(FamilySpec(5, (1, 3)))
+        cert = is_quasiperfect(fg.graph).certificate
+        complement_certificate(cert)  # fills the memo
+        pi, pk, pi_child, pk_child = cert.nodes[cert.key]
+        for tampered in [(pi | pk, pk, pi_child, pk_child),
+                         (pi, pk ^ 1, pi_child, pk_child),
+                         (pi, pk, pk_child, pi_child),
+                         [pi, pk, pi_child, pk_child]]:
+            changed = replace(cert, nodes={**cert.nodes, cert.key: tampered})
+            assert complement_certificate(changed) == _translate_unmemoized(changed)
+        assert complement_certificate(cert) == _translate_unmemoized(cert)
 
     @pytest.mark.parametrize("node", [(1, 1, b"?"), (1, 1, "?", b"?"), 7],
                              ids=["three-tuple", "str-child", "not-a-sequence"])
