@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Run one qpkit command, then report every process-wide memo and peak RSS.
+
+Usage: memo_usage.py QPKIT-ARGS...
+
+For example, ``memo_usage.py verify theorem2 --n-max 8``.  The command's
+own output goes to standard output.  After it, one line per bounded
+``functools.lru_cache`` in the qpkit modules (its ``cache_info()``) and
+the process's peak resident set size go to standard error.  The exit
+status is the command's, or 1 when a memo has reached its maxsize: a
+memo that evicts during a sweep does not fit the sweep it serves.
+"""
+
+import resource
+import sys
+
+import qpkit.cli
+
+
+def bounded_memos() -> list[tuple[str, object]]:
+    """(qualified name, function) of every bounded lru_cache in qpkit, once each."""
+    found: dict[int, tuple[str, object]] = {}
+    for name, mod in sorted(sys.modules.items()):
+        if mod is None or not (name == "qpkit" or name.startswith("qpkit.")):
+            continue
+        for fn in vars(mod).values():
+            info = getattr(fn, "cache_info", None)
+            if info is not None and info().maxsize is not None and fn.__module__ == name:
+                found.setdefault(id(fn), (f"{name}.{fn.__qualname__}", fn))
+    return sorted(found.values(), key=lambda item: item[0])
+
+
+def main() -> int:
+    status = qpkit.cli.main(sys.argv[1:])
+    full = []
+    for name, fn in bounded_memos():
+        info = fn.cache_info()
+        print(f"{name}: {info}", file=sys.stderr)
+        if info.currsize >= info.maxsize:
+            full.append(name)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(f"peak RSS: {peak / 1024:.1f} MiB", file=sys.stderr)
+    if full:
+        print(f"memos at maxsize: {', '.join(full)}", file=sys.stderr)
+        return 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,27 +72,37 @@ def _refine(adj: tuple[int, ...], cells: list[int],
         if splitter & (splitter - 1) == 0:
             # one vertex u: counts are 1 on adj[u] and 0 off it
             nbrs = adj[splitter.bit_length() - 1]
-            for cell in cells:
+            for j, cell in enumerate(cells):
                 hit = cell & nbrs
                 if hit and hit != cell:
                     if new_cells is None:
-                        new_cells = cells[:cells.index(cell)]
+                        new_cells = cells[:j]
                     new_cells += (cell ^ hit, hit)
                 elif new_cells is not None:
                     new_cells.append(cell)
         else:
-            for cell in cells:
+            for j, cell in enumerate(cells):
                 if cell & (cell - 1):
-                    groups: dict[int, int] = {}
-                    rest = cell
+                    # vertices share the first count until one differs;
+                    # groups are built from that vertex on, if one does
+                    low = cell & -cell
+                    first = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    same, rest = low, cell ^ low
                     while rest:
                         low = rest & -rest
-                        c = (adj[low.bit_length() - 1] & splitter).bit_count()
-                        groups[c] = groups.get(c, 0) | low
+                        if (adj[low.bit_length() - 1] & splitter).bit_count() != first:
+                            break
+                        same |= low
                         rest ^= low
-                    if len(groups) > 1:
+                    if rest:
+                        groups = {first: same}
+                        while rest:
+                            low = rest & -rest
+                            c = (adj[low.bit_length() - 1] & splitter).bit_count()
+                            groups[c] = groups.get(c, 0) | low
+                            rest ^= low
                         if new_cells is None:
-                            new_cells = cells[:cells.index(cell)]
+                            new_cells = cells[:j]
                         new_cells += (groups[c] for c in sorted(groups))
                         continue
                 if new_cells is not None:
@@ -121,25 +131,35 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
     best_order: list[int] = []
     autos: list[list[int]] = []  # automorphisms found at tying leaves
 
+    def find(root: list[int], v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
     def search(cells: list[int], path: list[int], inert: list[int] | None,
                prefix: list[int], code: int) -> None:
         # prefix holds the leading singletons of the parent, code their
-        # packed bits; refinement splits cells in place, so they lead here too
+        # packed bits; refinement splits cells in place, so they lead here
+        # too.  A discrete partition is already equitable.
         nonlocal best_code, best_order
-        cells = _refine(adj, cells, inert)
-        prefix = prefix[:]
-        for cell in cells[len(prefix):]:
+        if len(cells) < n:
+            cells = _refine(adj, cells, inert)
+        shared = len(prefix)
+        for cell in cells[shared:]:
             if cell & (cell - 1):
                 break
+            if len(prefix) == shared:  # the parent's list, shared by its children
+                prefix = prefix[:]
             col = adj[cell.bit_length() - 1]
             for u in prefix:
                 code = code << 1 | (col >> u & 1)
             prefix.append(cell.bit_length() - 1)
-        if best_order and len(prefix) > 1:
-            pbits = len(prefix) * (len(prefix) - 1) // 2
+        end = len(prefix)
+        if best_order and end > 1:
+            pbits = end * (end - 1) // 2
             if code < best_code >> (total_bits - pbits):
                 return
-        if len(prefix) == n:
+        if end == n:
             if code > best_code:
                 best_code, best_order = code, prefix
             elif code == best_code:
@@ -148,32 +168,33 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
                     gamma[b] = v
                 autos.append(gamma)
             return
-        target_idx, size = 0, n + 1  # the first smallest non-singleton cell
-        for i, cell in enumerate(cells):
-            if 1 < cell.bit_count() < size:
-                target_idx, size = i, cell.bit_count()
+        # the first smallest non-singleton cell; none beats a 2-cell
+        target_idx, size = 0, n + 1
+        for i in range(end, len(cells)):
+            count = cells[i].bit_count()
+            if 1 < count < size:
+                target_idx, size = i, count
+                if count == 2:
+                    break
         target = cells[target_idx]
         head, tail = cells[:target_idx], cells[target_idx + 1:]
         # orbits of the found automorphisms that fix the path pointwise,
-        # merged once a second branch needs them
-        root = list(range(n))
-
-        def find(v: int) -> int:
-            while root[v] != v:
-                v = root[v]
-            return v
-
+        # built and merged once a second branch needs them
+        root: list[int] | None = None
         merged = 0
         tried: list[int] = []
         for v in iter_bits(target):
             if tried:
+                if root is None:
+                    root = list(range(n))
                 for gamma in autos[merged:]:
                     if all(gamma[u] == u for u in path):
                         for u in range(n):
-                            root[find(u)] = find(gamma[u])
+                            if gamma[u] != u:
+                                root[find(root, u)] = find(root, gamma[u])
                 merged = len(autos)
-                orbit = find(v)
-                if any(find(w) == orbit for w in tried):
+                orbit = find(root, v)
+                if any(find(root, w) == orbit for w in tried):
                     continue
             tried.append(v)
             # every cell of the equitable parent is inert on the child
@@ -208,5 +229,15 @@ def max_codes_batch(graphs: list[Graph], n: int) -> list[CanonicalKey]:
     return [canonical_key(g) for g in graphs]
 
 
+@lru_cache(maxsize=1 << 16)
+def key_graph(key: CanonicalKey) -> Graph:
+    """The graph a key decodes to, decoded once per process.
+
+    Raises GraphFormatError for bytes that are not graph6.  Text a user
+    supplies goes through parse_graph6 directly and is not kept.
+    """
+    return parse_graph6(key)
+
+
 def canonical_graph(g: Graph) -> Graph:
-    return parse_graph6(canonical_key(g).decode("ascii"))
+    return key_graph(canonical_key(g))

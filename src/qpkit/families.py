@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graphs import Graph, bit_members, cycle_graph, from_edges, induced_subgraph, iter_bits, \
-    mask_of
+from .graphs import Graph, _trusted, bit_members, cycle_graph, from_edges, induced_subgraph, \
+    iter_bits, mask_of
 from .invariants import is_forest, is_perfect, maximal_cliques, maximum_independent_sets
 from .recognition import is_prime_independent_set, prime_independent_sets
 
@@ -63,13 +63,20 @@ class FamilyGraph:
 
 
 def odd_cycle_family(spec: FamilySpec) -> FamilyGraph:
+    """The wing family graph, its rows built directly.
+
+    A valid spec gives a simple graph by construction, so the rows skip
+    Graph's validation.
+    """
     n = spec.n
-    edges = list(cycle_graph(n).edges())
+    adj = [(1 << (i - 1) % n) | (1 << (i + 1) % n) for i in range(n)]
     for rank, k in enumerate(spec.positions):
         w = n + rank
-        edges.append((k - 1, w))
-        edges.append((k % n, w))  # v_{k+1}, wrapping to v_1
-    return FamilyGraph(spec, from_edges(n + spec.o, edges))
+        a, b = k - 1, k % n  # v_k and v_{k+1}, wrapping to v_1
+        adj[a] |= 1 << w
+        adj[b] |= 1 << w
+        adj.append((1 << a) | (1 << b))
+    return FamilyGraph(spec, _trusted(n + spec.o, tuple(adj)))
 
 
 def family_prime_clique(fg: FamilyGraph) -> int:

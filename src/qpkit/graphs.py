@@ -8,6 +8,7 @@ same kind of mask, so n is capped at 64 to keep every row a single word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -122,10 +123,10 @@ def cycle_graph(n: int) -> Graph:
 def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
     """A Graph built without validation, for outputs valid by construction.
 
-    Only the constructions below, parse_graph6 included, use it: the graph6
-    parser checks every byte, the size and the padding itself, and sets
-    both bits of each pair it reads.  Graph(...), from_edges and
-    parse_edge_list still validate.
+    Only the constructions below, parse_graph6 included, and the wing
+    families use it: the graph6 parser checks every byte, the size and the
+    padding itself, and sets both bits of each pair it reads.  Graph(...),
+    from_edges and parse_edge_list still validate.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
@@ -133,7 +134,9 @@ def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
     return g
 
 
+@lru_cache(maxsize=1 << 16)
 def complement(g: Graph) -> Graph:
+    """The complement graph, built once per process for equal graphs."""
     full = g.vertex_mask
     return _trusted(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
 

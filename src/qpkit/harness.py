@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .canonical import automorphism_generators, canonical_key
+from .canonical import automorphism_generators, canonical_key, key_graph
 from .graphs import (
     Graph,
     add_vertex,
@@ -24,7 +24,6 @@ from .graphs import (
     emit_graph6,
     induced_subgraph,
     mask_of,
-    parse_graph6,
 )
 from .invariants import (
     DEFAULT_PERFECTION_LIMIT,
@@ -275,7 +274,7 @@ def _theorem2_item(g: Graph) -> bool:
     """
     eng = _engine("conjunctive")
     out = eng.recognize(g)
-    dual_rep = complement(parse_graph6(canonical_key(g)))
+    dual_rep = complement(key_graph(canonical_key(g)))
     if out.quasiperfect != eng.is_quasiperfect(dual_rep):
         return False
     return not out.quasiperfect or bool(

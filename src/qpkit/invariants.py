@@ -6,6 +6,7 @@ Everything here is exhaustive and deterministic.  Desk scale is assumed
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .graphs import Graph, bit_members, complement, iter_bits
@@ -56,23 +57,29 @@ def maximal_cliques(g: Graph) -> list[int]:
     return out
 
 
-def clique_number(g: Graph) -> int:
+@lru_cache(maxsize=1 << 16)
+def _maximum_cliques(g: Graph) -> tuple[int, ...]:
+    """maximum_cliques as a tuple, enumerated once per process for equal graphs."""
     if g.n == 0:
-        return 0
-    return max(c.bit_count() for c in maximal_cliques(g))
+        return ()
+    cliques = maximal_cliques(g)
+    w = max(c.bit_count() for c in cliques)
+    return tuple(sorted(c for c in cliques if c.bit_count() == w))
+
+
+def clique_number(g: Graph) -> int:
+    cliques = _maximum_cliques(g)
+    return cliques[0].bit_count() if cliques else 0
 
 
 def maximum_cliques(g: Graph) -> list[int]:
     """All cliques of maximum size, as masks sorted ascending.
 
     Every maximum clique is maximal, so filtering the maximal cliques by
-    size is exhaustive.  The empty graph has no maximum cliques.
+    size is exhaustive.  The empty graph has no maximum cliques.  Each
+    call returns a fresh list.
     """
-    if g.n == 0:
-        return []
-    cliques = maximal_cliques(g)
-    w = max(c.bit_count() for c in cliques)
-    return sorted(c for c in cliques if c.bit_count() == w)
+    return list(_maximum_cliques(g))
 
 
 def independence_number(g: Graph) -> int:
@@ -151,7 +158,7 @@ def chromatic_number(g: Graph) -> int:
     """
     if g.n == 0:
         return 0
-    seed = bit_members(maximum_cliques(g)[0])
+    seed = bit_members(_maximum_cliques(g)[0])
     high = greedy_coloring_bound(g)
     for k in range(len(seed), high):
         if _k_colorable(g, k, seed):

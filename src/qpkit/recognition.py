@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .canonical import canonical_form, canonical_key
+from .canonical import canonical_form, canonical_key, key_graph
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -177,13 +177,20 @@ def _fail(reason: str, node: bytes | None = None) -> CertificateCheck:
 
 
 def _decode(key: object) -> Graph | None:
-    """The graph a key decodes to; None for malformed graph6 or a non-text key."""
-    if not isinstance(key, (bytes, str)):
-        return None
+    """The graph a key decodes to; None for malformed graph6 or a non-text key.
+
+    A bytes key, as certificates hold them, is decoded once per process
+    by key_graph; a str key is text read from a document and is parsed
+    anew.
+    """
     try:
-        return parse_graph6(key)
+        if isinstance(key, bytes):
+            return key_graph(key)
+        if isinstance(key, str):
+            return parse_graph6(key)
     except GraphFormatError:
-        return None
+        pass
+    return None
 
 
 def _well_formed(node: object) -> bool:
@@ -298,7 +305,7 @@ def coloring_from_certificate(g: Graph, cert: QpCertificate) -> dict[int, int]:
         pi, _, key_next, _ = cert.nodes[key]
         for p in iter_bits(pi):
             colors[labels[p]] = level
-        h = parse_graph6(key)
+        h = key_graph(key)
         keep = h.vertex_mask & ~pi
         kept = [labels[p] for p in bit_members(keep)]
         _, order = canonical_form(induced_subgraph(h, keep))
@@ -358,6 +365,17 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
 
+@lru_cache(maxsize=1 << 16)
+def _node_document(key: bytes, node: Node) -> tuple[list[int], list[int], str, str]:
+    """The JSON value of one (key, node) pair, built once per process.
+
+    A pure function of both, memoized like _verify_node; json.dumps only
+    reads the lists, and they never leave certificate_to_json.
+    """
+    pi, pk, pi_child, pk_child = node
+    return bit_members(pi), bit_members(pk), pi_child.decode("ascii"), pk_child.decode("ascii")
+
+
 def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
     """Compact JSON document (schema qpcert-v2) for a certificate of g.
 
@@ -368,9 +386,8 @@ def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
         "schema": CERTIFICATE_SCHEMA,
         "key": cert.key.decode("ascii"),
         "order": list(cert.order),
-        "nodes": {key.decode("ascii"): [bit_members(pi), bit_members(pk),
-                                        pi_child.decode("ascii"), pk_child.decode("ascii")]
-                  for key, (pi, pk, pi_child, pk_child) in cert.nodes.items()},
+        "nodes": {key.decode("ascii"): _node_document(key, tuple(node))
+                  for key, node in cert.nodes.items()},
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
@@ -532,7 +549,7 @@ class RecognitionEngine:
             self._hits += 1
             return key, entry
         self._nodes += 1
-        entry = self._analyze(parse_graph6(key))
+        entry = self._analyze(key_graph(key))
         self._store(key, entry)
         return key, entry
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -200,6 +201,17 @@ class TestAutomorphisms:
         for g in graphs:
             _, _, autos = _canonical_refined(g)
             assert all(self._is_automorphism(g, gamma) for gamma in autos)
+
+    def test_generators_pinned_up_to_seven(self):
+        # sha256 over the generator list of every class with n <= 7, in
+        # enumeration order, one JSON list per line; the enumerator extends
+        # one subset per orbit of the group they generate, and a search
+        # change can alter these lists while every key stays the same
+        lines = [json.dumps(automorphism_generators(g)).encode() + b"\n"
+                 for n in range(8) for g in _all_classes(n)]
+        assert len(lines) == 1253
+        assert hashlib.sha256(b"".join(lines)).hexdigest() == (
+            "a99d759e3d9af3c72ba6df6d50eb7fe11ed472c8adc0f483db7930a38c39c000")
 
     def test_they_generate_the_whole_group(self):
         # the enumerator extends one subset per orbit of the group they generate

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import functools
 import json
 import runpy
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qpkit import cli
+from qpkit import cli, graphs
 from qpkit.cli import main
 from qpkit.graphs import cycle_graph, emit_graph6, empty_graph
 from qpkit.harness import ALL_SUITES, SuiteReport
@@ -286,6 +287,34 @@ class TestScripts:
         assert exc.value.code == 0
         assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(ALL_SUITES)
         capsys.readouterr()
+
+
+class TestMemoUsage:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "memo_usage.py"
+
+    def run(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        return exc.value.code, capsys.readouterr()
+
+    def test_reports_every_memo(self, monkeypatch, capsys):
+        code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
+        assert code == 0
+        assert json.loads(out.out)["graphs_scanned"] == 8
+        for name in ("canonical.canonical_form", "canonical.key_graph", "graphs.complement",
+                     "invariants._maximum_cliques", "recognition._node_document",
+                     "recognition._verify_node"):
+            assert f"qpkit.{name}: CacheInfo(" in out.err
+        assert "peak RSS: " in out.err
+
+    def test_a_full_memo_fails(self, monkeypatch, capsys):
+        tiny = functools.lru_cache(maxsize=1)(graphs.complement.__wrapped__)
+        tiny(empty_graph(1))
+        monkeypatch.setattr(graphs, "complement", tiny)
+        code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "2"])
+        assert code == 1
+        assert "memos at maxsize: qpkit.graphs.complement" in out.err
 
 
 class TestConsoleScript:

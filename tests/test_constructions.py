@@ -69,6 +69,21 @@ class TestFamilyGraph:
         assert fg.graph.n == 10
         assert fg.graph.m == 13
 
+    def test_rows_match_the_edge_list_build(self):
+        # every spec with n <= 9: the direct rows against the validated
+        # edge-list construction of the cycle plus two edges per wing
+        specs = 0
+        for n in (5, 7, 9):
+            for o in range(1, n + 1):
+                for pos in itertools.combinations(range(1, n + 1), o):
+                    edges = list(cycle_graph(n).edges())
+                    for rank, k in enumerate(pos):
+                        edges += [(k - 1, n + rank), (k % n, n + rank)]
+                    built = odd_cycle_family(FamilySpec(n, pos)).graph
+                    assert built == from_edges(n + o, edges)
+                    specs += 1
+        assert specs == 31 + 127 + 511
+
     def test_wing_adjacency(self):
         fg = odd_cycle_family(FamilySpec(5, (2,)))
         w = fg.wing_vertex(2)

@@ -1,12 +1,13 @@
 """Enumeration, verification suites, records, and the supergraph search."""
 
+import collections
 import io
 import json
 
 import pytest
 
 import oracles
-from qpkit import families, harness
+from qpkit import families, harness, invariants
 from qpkit.canonical import canonical_form, canonical_key
 from qpkit.graphs import (
     complete_graph,
@@ -208,6 +209,20 @@ class TestTheoremSuites:
         report = verify_perfect_subset(5)
         assert report.passed
         assert len(calls) == report.graphs_scanned == 53
+
+    def test_theorem1_item_lists_maximal_cliques_once_per_graph(self, monkeypatch):
+        # omega and chi both read one clique enumeration of g; the stand-in
+        # recognizer accepts everything, so every graph reaches both
+        calls = collections.Counter()
+        real = invariants.maximal_cliques
+        monkeypatch.setattr(invariants, "maximal_cliques",
+                            lambda g: calls.update([g]) or real(g))
+        invariants._maximum_cliques.cache_clear()
+        graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+        for g in graphs:
+            harness._theorem1_item(lambda g: True, g)
+        assert set(calls) == set(graphs)
+        assert set(calls.values()) == {1}
 
     @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
     def test_parallel_matches_serial(self, suite):
