@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graphs import Graph, _trusted, bit_members, cycle_graph, from_edges, induced_subgraph, \
-    iter_bits, mask_of
+from .graphs import MAX_VERTICES, Graph, GraphFormatError, _trusted, bit_members, cycle_graph, \
+    from_edges, induced_subgraph, iter_bits, mask_of
 from .invariants import is_forest, is_perfect, maximal_cliques, maximum_independent_sets
 from .recognition import is_prime_independent_set, prime_independent_sets
 
@@ -65,10 +65,13 @@ class FamilyGraph:
 def odd_cycle_family(spec: FamilySpec) -> FamilyGraph:
     """The wing family graph, its rows built directly.
 
-    A valid spec gives a simple graph by construction, so the rows skip
-    Graph's validation.
+    A valid spec within MAX_VERTICES gives a simple graph by construction,
+    so the rows skip Graph's validation.  Raises GraphFormatError when the
+    cycle and its wings exceed MAX_VERTICES.
     """
     n = spec.n
+    if n + spec.o > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n + spec.o} outside 0..{MAX_VERTICES}")
     adj = [(1 << (i - 1) % n) | (1 << (i + 1) % n) for i in range(n)]
     for rank, k in enumerate(spec.positions):
         w = n + rank

@@ -8,7 +8,6 @@ same kind of mask, so n is capped at 64 to keep every row a single word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -134,9 +133,7 @@ def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
     return g
 
 
-@lru_cache(maxsize=1 << 16)
 def complement(g: Graph) -> Graph:
-    """The complement graph, built once per process for equal graphs."""
     full = g.vertex_mask
     return _trusted(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
 

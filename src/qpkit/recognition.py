@@ -365,17 +365,6 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
 
-@lru_cache(maxsize=1 << 16)
-def _node_document(key: bytes, node: Node) -> tuple[list[int], list[int], str, str]:
-    """The JSON value of one (key, node) pair, built once per process.
-
-    A pure function of both, memoized like _verify_node; json.dumps only
-    reads the lists, and they never leave certificate_to_json.
-    """
-    pi, pk, pi_child, pk_child = node
-    return bit_members(pi), bit_members(pk), pi_child.decode("ascii"), pk_child.decode("ascii")
-
-
 def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
     """Compact JSON document (schema qpcert-v2) for a certificate of g.
 
@@ -386,8 +375,9 @@ def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
         "schema": CERTIFICATE_SCHEMA,
         "key": cert.key.decode("ascii"),
         "order": list(cert.order),
-        "nodes": {key.decode("ascii"): _node_document(key, tuple(node))
-                  for key, node in cert.nodes.items()},
+        "nodes": {key.decode("ascii"): [bit_members(pi), bit_members(pk),
+                                        pi_child.decode("ascii"), pk_child.decode("ascii")]
+                  for key, (pi, pk, pi_child, pk_child) in cert.nodes.items()},
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qpkit import cli, graphs
+from qpkit import cli, invariants
 from qpkit.cli import main
 from qpkit.graphs import cycle_graph, emit_graph6, empty_graph
 from qpkit.harness import ALL_SUITES, SuiteReport
@@ -141,6 +141,8 @@ class TestConstruct:
         ["c5blowup", "t=0"],
         ["c5blowup"],
         ["nosuch", "x=1"],
+        ["family", "n=65", "k=1"],  # 66 vertices, past MAX_VERTICES
+        ["family", "n=63", "k={1,2}"],  # 65 vertices
     ])
     def test_bad_specs_exit_2(self, spec, capsys):
         assert main(["construct", *spec]) == 2
@@ -302,19 +304,18 @@ class TestMemoUsage:
         code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
         assert code == 0
         assert json.loads(out.out)["graphs_scanned"] == 8
-        for name in ("canonical.canonical_form", "canonical.key_graph", "graphs.complement",
-                     "invariants._maximum_cliques", "recognition._node_document",
-                     "recognition._verify_node"):
+        for name in ("canonical.canonical_form", "canonical.key_graph",
+                     "invariants._maximum_cliques", "recognition._verify_node"):
             assert f"qpkit.{name}: CacheInfo(" in out.err
         assert "peak RSS: " in out.err
 
     def test_a_full_memo_fails(self, monkeypatch, capsys):
-        tiny = functools.lru_cache(maxsize=1)(graphs.complement.__wrapped__)
+        tiny = functools.lru_cache(maxsize=1)(invariants._maximum_cliques.__wrapped__)
         tiny(empty_graph(1))
-        monkeypatch.setattr(graphs, "complement", tiny)
+        monkeypatch.setattr(invariants, "_maximum_cliques", tiny)
         code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "2"])
         assert code == 1
-        assert "memos at maxsize: qpkit.graphs.complement" in out.err
+        assert "memos at maxsize: qpkit.invariants._maximum_cliques" in out.err
 
 
 class TestConsoleScript:

@@ -16,6 +16,8 @@ from qpkit.families import (
     replicate,
 )
 from qpkit.graphs import (
+    MAX_VERTICES,
+    GraphFormatError,
     bit_members,
     complete_graph,
     cycle_graph,
@@ -83,6 +85,12 @@ class TestFamilyGraph:
                     assert built == from_edges(n + o, edges)
                     specs += 1
         assert specs == 31 + 127 + 511
+
+    def test_vertex_count_is_capped(self):
+        assert odd_cycle_family(FamilySpec(61, (1, 2, 3))).graph.n == MAX_VERTICES
+        for n, pos in ((65, (1,)), (63, (1, 2)), (61, (1, 2, 3, 4))):
+            with pytest.raises(GraphFormatError, match="outside 0..64"):
+                odd_cycle_family(FamilySpec(n, pos))
 
     def test_wing_adjacency(self):
         fg = odd_cycle_family(FamilySpec(5, (2,)))

@@ -5,7 +5,7 @@ import itertools
 import oracles
 from conftest import edge_pairs, random_graph
 from qpkit.canonical import canonical_form, canonical_key, key_graph
-from qpkit.graphs import bit_members, complement, cycle_graph, from_edges, mask_of, parse_graph6
+from qpkit.graphs import complement, cycle_graph, from_edges, mask_of, parse_graph6
 from qpkit.invariants import (
     _maximum_cliques,
     chromatic_number,
@@ -18,7 +18,6 @@ from qpkit.recognition import (
     RecognitionEngine,
     _complement_form,
     _complement_node,
-    _node_document,
     _verify_node,
     is_prime_independent_set,
 )
@@ -59,11 +58,7 @@ def test_certificate_memos_match_recomputation(rng):
         if not out.quasiperfect:
             continue
         for key, node in out.certificate.nodes.items():
-            pi, pk, pi_child, pk_child = node
             for _ in range(2):
-                assert _node_document(key, node) == (
-                    bit_members(pi), bit_members(pk),
-                    pi_child.decode("ascii"), pk_child.decode("ascii"))
                 assert _verify_node(key, node) == _verify_node.__wrapped__(key, node)
                 assert _complement_node(key, node) == _complement_node.__wrapped__(key, node)
                 assert _complement_form(key) == _complement_form.__wrapped__(key)
