@@ -18,6 +18,18 @@ whole automorphism group: every leaf with the elected bit string is
 either reached, yielding one of them, or the image under them of a leaf
 that is.
 
+After a leaf that ties the best one, the search backjumps, as in McKay's
+first-path jump: it resumes at the deepest node that this leaf's path
+shares with the best leaf's, and every node below that one returns at
+once.  Refinement and the choice of target cell are label-invariant, and
+the individualized vertex always takes the first slot of its target
+cell, so the automorphism just found maps the best leaf's path onto this
+one, node by node.  Below the shared node the best path's child is an
+earlier sibling, already searched, so the rest of the current subtree is
+the image of searched leaves: none beats the best code, the elected
+labeling stays the same, and the recorded automorphisms still generate
+the whole group.  Only the generator lists get shorter.
+
 Refinement never re-tests an inert splitter, a cell mask against which
 every cell has a single neighbor count: it stays inert on every finer
 partition.  The cells of a node's equitable partition are all inert, so
@@ -123,12 +135,16 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
     n, m = g.n, g.m
     total_bits = n * (n - 1) // 2
     if m == 0 or m == total_bits:
-        # the symmetric group: a transposition and an n-cycle generate it
-        gens = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+        # the symmetric group: a transposition and, for n > 2, an n-cycle
+        # generate it
+        gens = [[1, 0, *range(2, n)]] if n > 1 else []
+        if n > 2:
+            gens.append([*range(1, n), 0])
         return tuple(range(n)), (1 << m) - 1, gens
     adj = g.adj
     best_code = -1
     best_order: list[int] = []
+    best_path: list[int] = []
     autos: list[list[int]] = []  # automorphisms found at tying leaves
 
     def find(root: list[int], v: int) -> int:
@@ -137,11 +153,13 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
         return v
 
     def search(cells: list[int], path: list[int], inert: list[int] | None,
-               prefix: list[int], code: int) -> None:
+               prefix: list[int], code: int) -> int:
         # prefix holds the leading singletons of the parent, code their
         # packed bits; refinement splits cells in place, so they lead here
-        # too.  A discrete partition is already equitable.
-        nonlocal best_code, best_order
+        # too.  A discrete partition is already equitable.  Returns the
+        # depth to resume at, n when nothing is skipped: every node deeper
+        # than it returns at once.
+        nonlocal best_code, best_order, best_path
         if len(cells) < n:
             cells = _refine(adj, cells, inert)
         shared = len(prefix)
@@ -158,16 +176,22 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
         if best_order and end > 1:
             pbits = end * (end - 1) // 2
             if code < best_code >> (total_bits - pbits):
-                return
+                return n
         if end == n:
             if code > best_code:
-                best_code, best_order = code, prefix
+                best_code, best_order, best_path = code, prefix, path
             elif code == best_code:
                 gamma = [0] * n
                 for b, v in zip(best_order, prefix):
                     gamma[b] = v
                 autos.append(gamma)
-            return
+                # backjump to the deepest node the two paths share: below
+                # it, gamma maps searched subtrees onto this path's
+                depth = 0
+                while path[depth] == best_path[depth]:
+                    depth += 1
+                return depth
+            return n
         # the first smallest non-singleton cell; none beats a 2-cell
         target_idx, size = 0, n + 1
         for i in range(end, len(cells)):
@@ -183,6 +207,7 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
         root: list[int] | None = None
         merged = 0
         tried: list[int] = []
+        level = len(path)
         for v in iter_bits(target):
             if tried:
                 if root is None:
@@ -198,8 +223,11 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
                     continue
             tried.append(v)
             # every cell of the equitable parent is inert on the child
-            search(head + [1 << v, target & ~(1 << v)] + tail,
-                   path + [v], cells, prefix, code)
+            depth = search(head + [1 << v, target & ~(1 << v)] + tail,
+                           path + [v], cells, prefix, code)
+            if depth < level:
+                return depth
+        return n
 
     search([g.vertex_mask], [], None, [], 0)
     return tuple(best_order), best_code, autos

@@ -30,6 +30,7 @@ from qpkit.graphs import (
     iter_bits,
     permute,
 )
+from qpkit.harness import _subset_orbit_minima
 
 
 def _refined_key(g):
@@ -133,7 +134,14 @@ class TestForm:
                   for _ in range(60)]
         graphs += [_disjoint_cliques(k, 3) for k in (2, 3)]
         graphs += [complement(g) for g in graphs[-2:]]
-        graphs += [_blowup(4, 2), _blowup(5, 2), cycle_graph(9)]
+        graphs.append(cycle_graph(9))
+        # symmetric graphs, where the search backjumps after automorphisms;
+        # the unpruned search takes at most a few hundredths of a second
+        symmetric = [_disjoint_cliques(3, 2), _disjoint_cliques(4, 2),
+                     _disjoint_cliques(2, 4), _disjoint_cycles(2, 4),
+                     _blowup(4, 2), _blowup(5, 2), _rook(2, 3), _rook(2, 4),
+                     _rook(3, 3), _biclique(3, 3)]
+        graphs += symmetric + [complement(g) for g in symmetric]
         for g in graphs:
             assert _canonical_refined(g)[0] == _unpruned_order(g)
 
@@ -203,19 +211,38 @@ class TestAutomorphisms:
             assert all(self._is_automorphism(g, gamma) for gamma in autos)
 
     def test_generators_pinned_up_to_seven(self):
-        # sha256 over the generator list of every class with n <= 7, in
-        # enumeration order, one JSON list per line; the enumerator extends
-        # one subset per orbit of the group they generate, and a search
-        # change can alter these lists while every key stays the same
-        lines = [json.dumps(automorphism_generators(g)).encode() + b"\n"
-                 for n in range(8) for g in _all_classes(n)]
+        # sha256 over the orbit minima on vertex subsets of the group the
+        # generators of every class with n <= 7 generate, in enumeration
+        # order, one JSON list per line: the enumerator extends one subset
+        # per orbit.  The generator lists themselves may change with the
+        # search; the orbits they generate may not
+        lines = [json.dumps(_subset_orbit_minima(g.n, automorphism_generators(g))).encode()
+                 + b"\n" for n in range(8) for g in _all_classes(n)]
         assert len(lines) == 1253
         assert hashlib.sha256(b"".join(lines)).hexdigest() == (
-            "a99d759e3d9af3c72ba6df6d50eb7fe11ed472c8adc0f483db7930a38c39c000")
+            "64d692bdaa78791696613d503d6b104a41daa90227d7eded960e127c52b75b8e")
+
+    def test_at_most_n_minus_one_generators(self):
+        # after an automorphism the search backjumps past the subtrees it
+        # maps onto searched ones, so it records few: without the jump,
+        # 8K3 gets 52 generators
+        graphs = [g for n in range(8) for g in _all_classes(n)
+                  if 0 < g.m < g.n * (g.n - 1) // 2]
+        graphs += [_disjoint_cliques(5, 3), _disjoint_cliques(8, 3),
+                   _biclique(6, 6), _blowup(5, 3)]
+        for g in graphs:
+            assert len(automorphism_generators(g)) <= g.n - 1
+
+    def test_symmetric_group_generators(self):
+        # the edgeless and complete graphs skip the search: a transposition
+        # and, from n = 3 on, an n-cycle
+        for n in range(6):
+            for g in (empty_graph(n), complete_graph(n)):
+                assert len(automorphism_generators(g)) == (0, 0, 1, 2, 2, 2)[n]
 
     def test_they_generate_the_whole_group(self):
         # the enumerator extends one subset per orbit of the group they generate
-        for n in range(6):
+        for n in range(7):
             for g in _all_classes(n):
                 group = {tuple(p) for p in itertools.permutations(range(n))
                          if self._is_automorphism(g, p)}
@@ -300,6 +327,17 @@ def _nx(g):
 def _disjoint_cliques(k, t):
     return from_edges(k * t, [(i * t + a, i * t + b) for i in range(k)
                               for a, b in itertools.combinations(range(t), 2)])
+
+
+def _disjoint_cycles(k, c):
+    return from_edges(k * c, [(i * c + j, i * c + (j + 1) % c)
+                              for i in range(k) for j in range(c)])
+
+
+def _rook(a, b):
+    """K_a x K_b: cells of an a-by-b board, adjacent when they share a line."""
+    return from_edges(a * b, [(x, y) for x, y in itertools.combinations(range(a * b), 2)
+                              if x // b == y // b or x % b == y % b])
 
 
 def _biclique(a, b):
