@@ -40,6 +40,23 @@ first splitter in cell order that splits a cell, as when every splitter
 is re-tested on every round: skipping changes neither the cell order nor
 any key.  A child's leading singletons extend its parent's, so the packed
 prefix code grows by the new columns only.
+
+`canonical_form` keeps a bounded, process-wide set of the codes its
+searches elected, one per class, each tagged with n as
+``code | 1 << n(n-1)/2``, and its search stops at the first leaf whose
+tagged code is in that set, electing that leaf.  This is exact.  Say
+the leaf has order L and code c, and c is in the set.  Then g relabeled
+by L is the graph that c's key decodes to, so g is in that key's class,
+and keys are class invariants, so g's elected code is c.  No earlier
+leaf had code c, or the search would have stopped there, so L is the
+first leaf with the maximal code: the very leaf the full search elects,
+since the two searches are the same up to it.  It holds only while every
+entry is a code that a search elected: a key from a certificate
+document, from `key_graph` or from user graph6 never enters the set.
+Leaves after the first best one only prove that its code is maximal;
+for a class already labeled in the process that proof is known.
+`automorphism_generators` needs the whole group and always runs the
+full search.
 """
 
 from __future__ import annotations
@@ -50,6 +67,11 @@ from typing import Iterable
 from .graphs import Graph, graph6_of_code, iter_bits, parse_graph6
 
 CanonicalKey = bytes
+
+# Tagged codes that searches elected (see the module docstring); only
+# canonical_form adds to it, and it stops adding at _KNOWN_CODES_MAX.
+_known_codes: set[int] = set()
+_KNOWN_CODES_MAX = 1 << 16
 
 
 def _refine(adj: tuple[int, ...], cells: list[int],
@@ -125,12 +147,20 @@ def _refine(adj: tuple[int, ...], cells: list[int],
     return cells
 
 
-def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]:
+def _canonical_refined(g: Graph, known: set[int] | None = None
+                       ) -> tuple[tuple[int, ...], int, list[list[int]]]:
     """The elected order, its code, and automorphisms that generate Aut(g).
 
     The code is the upper-triangle bit string of g relabeled by the order,
     in graph6 order.  Each automorphism is a list gamma with gamma[v] the
     image of v.
+
+    Without known this is the full search.  With it, a set of tagged codes
+    (code | 1 << n(n-1)/2) that searches elected, the search stops at the
+    first leaf whose tagged code is in known, and the automorphisms are
+    only those found before it; a search that runs to the end adds its
+    code while known holds fewer than _KNOWN_CODES_MAX.  Orders and codes
+    are the full search's either way.
     """
     n, m = g.n, g.m
     total_bits = n * (n - 1) // 2
@@ -142,6 +172,7 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
             gens.append([*range(1, n), 0])
         return tuple(range(n)), (1 << m) - 1, gens
     adj = g.adj
+    tag = 1 << total_bits
     best_code = -1
     best_order: list[int] = []
     best_path: list[int] = []
@@ -180,6 +211,8 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
         if end == n:
             if code > best_code:
                 best_code, best_order, best_path = code, prefix, path
+                if known is not None and (code | tag) in known:
+                    return -1  # elected: every node returns at once
             elif code == best_code:
                 gamma = [0] * n
                 for b, v in zip(best_order, prefix):
@@ -230,13 +263,15 @@ def _canonical_refined(g: Graph) -> tuple[tuple[int, ...], int, list[list[int]]]
         return n
 
     search([g.vertex_mask], [], None, [], 0)
+    if known is not None and len(known) < _KNOWN_CODES_MAX:
+        known.add(best_code | tag)  # already there after a stop
     return tuple(best_order), best_code, autos
 
 
 @lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:
     """Key bytes plus the order array (order[p] = original vertex at slot p)."""
-    order, code, _ = _canonical_refined(g)
+    order, code, _ = _canonical_refined(g, _known_codes)
     return graph6_of_code(g.n, code), order
 
 

@@ -10,6 +10,7 @@ import networkx as nx
 
 import oracles
 from conftest import edge_pairs, random_graph
+from qpkit import canonical, cli
 from qpkit.canonical import (
     _canonical_refined,
     _refine,
@@ -19,7 +20,7 @@ from qpkit.canonical import (
     canonical_key,
     max_codes_batch,
 )
-from qpkit.families import c5_blowup_with_apex, replicate
+from qpkit.families import FamilySpec, c5_blowup_with_apex, odd_cycle_family, replicate
 from qpkit.graphs import (
     complement,
     complete_graph,
@@ -27,10 +28,18 @@ from qpkit.graphs import (
     empty_graph,
     emit_graph6,
     from_edges,
+    graph6_of_code,
     iter_bits,
+    parse_graph6,
     permute,
 )
 from qpkit.harness import _subset_orbit_minima
+from qpkit.recognition import (
+    RecognitionEngine,
+    certificate_from_json,
+    certificate_to_json,
+    verify_certificate,
+)
 
 
 def _refined_key(g):
@@ -308,6 +317,87 @@ class TestSymmetric:
             assert time.perf_counter() - t0 < 5.0
 
 
+class TestKnownClasses:
+    """canonical_form stops at the first leaf whose code a search elected
+    earlier in the process; it must elect what the full search elects."""
+
+    @staticmethod
+    def _relabelings(graphs, copies, seed):
+        rnd = random.Random(seed)
+        out = []
+        for g in graphs:
+            out.append(g)
+            for _ in range(copies):
+                perm = list(range(g.n))
+                rnd.shuffle(perm)
+                out.append(permute(g, perm))
+        return out
+
+    def test_same_election_cold_and_warm(self):
+        # FFzvO, a class with n = 7, comes first: its first leaf is not its
+        # elected one, so a search that stops at a first leaf without
+        # asking the set fails on it
+        ffzvo = parse_graph6("FFzvO")
+        assert _first_leaf_code(ffzvo) < _canonical_refined(ffzvo)[1]
+        graphs = [ffzvo]
+        graphs += self._relabelings([g for n in range(8) for g in _all_classes(n)], 2, 11)
+        graphs += [complement(g) for g in graphs]
+        graphs += [odd_cycle_family(FamilySpec(n, pos)).graph for n in (5, 7)
+                   for o in range(1, n + 1)
+                   for pos in itertools.combinations(range(1, n + 1), o)]
+        graphs += [_disjoint_cliques(5, 3), _disjoint_cliques(8, 3), _biclique(6, 6),
+                   _blowup(5, 3)]
+        full = [_canonical_refined(g)[:2] for g in graphs]
+        canonical._known_codes.clear()
+        for _ in ("cold", "warm"):
+            canonical_form.cache_clear()
+            for g, (order, code) in zip(graphs, full):
+                assert canonical_form(g) == (graph6_of_code(g.n, code), order)
+        assert len(canonical._known_codes) > 1000
+
+    def test_only_elected_codes_enter(self, capsys):
+        canonical._known_codes.clear()
+        canonical_form.cache_clear()
+        assert cli.main(["verify", "all", "--n-max", "6"]) == 0
+        capsys.readouterr()
+        # a valid certificate of FFzvO whose root node sits under a
+        # relabeled, non-canonical key, its masks relabeled to match
+        g = parse_graph6("FFzvO")
+        doc = json.loads(certificate_to_json(g, RecognitionEngine().recognize(g).certificate))
+        root = parse_graph6(doc["key"])
+        perm = list(reversed(range(g.n)))
+        relabeled = emit_graph6(permute(root, perm))
+        assert relabeled != doc["key"]
+        pi, pk, pi_child, pk_child = doc["nodes"].pop(doc["key"])
+        doc["nodes"][relabeled] = [[perm[v] for v in pi], [perm[v] for v in pk],
+                                   pi_child, pk_child]
+        doc["order"] = [doc["order"][perm.index(w)] for w in range(g.n)]
+        doc["key"] = relabeled
+        h, cert = certificate_from_json(json.dumps(doc))
+        assert h == g
+        assert verify_certificate(h, cert)
+        # each entry is the code the full search elects on the graph it
+        # decodes to
+        entries = sorted(canonical._known_codes)
+        assert len(entries) > 150
+        for entry in entries:
+            total = entry.bit_length() - 1
+            n = next(n for n in itertools.count(2) if n * (n - 1) // 2 == total)
+            code = entry ^ 1 << total
+            assert _canonical_refined(parse_graph6(graph6_of_code(n, code)))[1] == code
+
+    def test_automorphisms_ignore_the_set(self):
+        graphs = self._relabelings([g for n in range(8) for g in _all_classes(n)], 1, 13)
+        canonical._known_codes.clear()
+        cold = [_subset_orbit_minima(g.n, automorphism_generators(g)) for g in graphs]
+        canonical_form.cache_clear()
+        for g in graphs:
+            canonical_key(g)
+        assert canonical._known_codes
+        assert [_subset_orbit_minima(g.n, automorphism_generators(g))
+                for g in graphs] == cold
+
+
 class TestBatch:
     def test_matches_single(self, rng):
         graphs = [random_graph(rng, 9, p) for p in (0.2, 0.5, 0.8) for _ in range(8)]
@@ -372,6 +462,21 @@ def _unpruned_order(g):
 
     search([g.vertex_mask])
     return best[1]
+
+
+def _first_leaf_code(g):
+    """Code of the search's first leaf: the first vertex of the first
+    smallest non-singleton cell, individualized until the partition is
+    discrete."""
+    cells = [g.vertex_mask]
+    while True:
+        cells = oracles.restart_refine(g.adj, cells)
+        if all(c.bit_count() == 1 for c in cells):
+            return oracles.order_code(g.adj, [c.bit_length() - 1 for c in cells])
+        i = min((i for i, c in enumerate(cells) if c.bit_count() > 1),
+                key=lambda i: cells[i].bit_count())
+        low = cells[i] & -cells[i]
+        cells = cells[:i] + [low, cells[i] ^ low] + cells[i + 1:]
 
 
 def _all_classes(n):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qpkit import cli, invariants
+from qpkit import canonical, cli, invariants
 from qpkit.cli import main
 from qpkit.graphs import cycle_graph, emit_graph6, empty_graph
 from qpkit.harness import ALL_SUITES, SuiteReport
@@ -307,6 +307,7 @@ class TestMemoUsage:
         for name in ("canonical.canonical_form", "canonical.key_graph",
                      "invariants._maximum_cliques", "recognition._verify_node"):
             assert f"qpkit.{name}: CacheInfo(" in out.err
+        assert "qpkit.canonical._known_codes: set(maxsize=65536, currsize=" in out.err
         assert "peak RSS: " in out.err
 
     def test_a_full_memo_fails(self, monkeypatch, capsys):
@@ -316,6 +317,12 @@ class TestMemoUsage:
         code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "2"])
         assert code == 1
         assert "memos at maxsize: qpkit.invariants._maximum_cliques" in out.err
+
+    def test_a_full_known_code_set_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(canonical, "_KNOWN_CODES_MAX", 1)
+        code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
+        assert code == 1
+        assert "memos at maxsize: qpkit.canonical._known_codes" in out.err
 
 
 class TestConsoleScript:

@@ -1,6 +1,7 @@
 """Graph container and codec behavior, cross-checked against networkx."""
 
 import itertools
+import pickle
 
 import networkx as nx
 import pytest
@@ -203,6 +204,17 @@ class TestUnvalidatedConstructions:
         except GraphFormatError:
             return
         assert h == Graph(h.n, h.adj)
+
+    def test_pickle_roundtrip(self):
+        # the fork pool pickles graphs; a slotted Graph has no __dict__,
+        # whether _trusted or validation built it
+        graphs = [parse_graph6("FFzvO"), complement(cycle_graph(7)), empty_graph(0),
+                  from_edges(4, [(0, 1), (2, 3)]), Graph(3, (0b110, 0b1, 0b1))]
+        for g in graphs:
+            assert not hasattr(g, "__dict__")
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                h = pickle.loads(pickle.dumps(g, protocol))
+                assert type(h) is Graph and h == g and hash(h) == hash(g)
 
     def test_add_vertex_matches_from_edges(self, rng):
         for _ in range(60):
