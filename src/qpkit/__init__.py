@@ -20,16 +20,14 @@ from .graphs import (
     path_graph,
     permute,
 )
-from .canonical import canonical_form, canonical_graph, canonical_key
+from .canonical import canonical_form, canonical_key
 from .invariants import (
-    GraphInvariants,
     PerfectionChecker,
     PerfectionLimitError,
     chromatic_number,
     clique_number,
     greedy_coloring_bound,
     independence_number,
-    invariant_triple,
     is_block_graph,
     is_forest,
     is_perfect,
@@ -53,7 +51,6 @@ from .recognition import (
     complement_certificate,
     is_prime_clique,
     is_prime_independent_set,
-    is_quasiperfect,
     prime_cliques,
     prime_independent_sets,
     verify_certificate,
@@ -79,7 +76,6 @@ from .harness import (
     verify_perfect_subset,
     verify_theorem1,
     verify_theorem2,
-    write_records_csv,
 )
 
 __version__ = "0.1.0"

@@ -300,7 +300,3 @@ def key_graph(key: CanonicalKey) -> Graph:
     supplies goes through parse_graph6 directly and is not kept.
     """
     return parse_graph6(key)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return key_graph(canonical_key(g))

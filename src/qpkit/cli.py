@@ -91,7 +91,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     graphs = _load_graphs(_read_text(args.input), args.format)
-    engine = RecognitionEngine(mode=args.mode, limit=_recognition_limit())
+    engine = RecognitionEngine(limit=_recognition_limit())
     lines = []
     for idx, g in enumerate(graphs):
         cert_ref = None
@@ -183,7 +183,7 @@ def _cmd_supergraph(args: argparse.Namespace) -> int:
     graphs = _load_graphs(_read_text(args.input), args.format)
     if len(graphs) != 1:
         raise GraphFormatError("supergraph search takes exactly one input graph")
-    engine = RecognitionEngine(mode=args.mode, limit=_recognition_limit())
+    engine = RecognitionEngine(limit=_recognition_limit())
     found = minimal_qp_supergraph(graphs[0], args.k_max, engine=engine)
     if found is None:
         doc = {"found": False, "k_max": args.k_max}
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="invariants plus recognition verdict")
     add_io(p)
-    p.add_argument("--mode", choices=("pure", "accelerated"), default="accelerated")
     p.add_argument("--cert-out", default=None,
                    help="write certificate JSON here when quasiperfect")
     p.set_defaults(fn=_cmd_classify)
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("supergraph", help="search for a quasiperfect extension")
     add_io(p)
-    p.add_argument("--mode", choices=("pure", "accelerated"), default="accelerated")
     p.add_argument("--k-max", type=int, default=2)
     p.set_defaults(fn=_cmd_supergraph)
 

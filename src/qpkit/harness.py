@@ -7,11 +7,8 @@ configuration.  Surveys report findings but never fail a run.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -101,13 +98,6 @@ def build_classification_record(
         quasiperfect=quasi,
         cert_ref=cert_ref,
     )
-
-
-def write_records_csv(records: list[ClassificationRecord], stream: io.TextIOBase) -> None:
-    writer = csv.DictWriter(stream, fieldnames=RECORD_FIELDS)
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec.to_dict())
 
 
 @dataclass
@@ -236,6 +226,8 @@ def _sweep(n_max: int, item, threads: int) -> tuple[list[Graph], list]:
     processes = min(threads, len(graphs), os.cpu_count() or 1)
     if processes <= 1:
         return graphs, [item(g) for g in graphs]
+    import multiprocessing  # only here, so that start-up does not pay for it
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=processes) as pool:
         chunk = max(1, len(graphs) // (processes * 4))
@@ -260,8 +252,8 @@ def _pure_quasiperfect(g: Graph) -> bool:
     return _engine("conjunctive").is_quasiperfect(g)
 
 
-def _theorem1_item(recognizer, g: Graph) -> bool:
-    return not recognizer(g) or clique_number(g) == chromatic_number(g)
+def _theorem1_item(g: Graph) -> bool:
+    return not _pure_quasiperfect(g) or clique_number(g) == chromatic_number(g)
 
 
 def _theorem2_item(g: Graph) -> bool:
@@ -315,17 +307,9 @@ def _divergence_item(g: Graph) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 # suites
 
-def verify_theorem1(n_max: int, *, threads: int = 1, recognizer=None) -> SuiteReport:
-    """Every accepted graph must have equal clique and chromatic numbers.
-
-    A custom recognizer callable can be injected so the suite itself can
-    be tested against deliberately corrupted recognizers.  It runs
-    serially, so it need not be picklable, and the report echoes threads=1.
-    """
-    if recognizer is not None:
-        threads = 1
-    item = functools.partial(_theorem1_item, recognizer or _pure_quasiperfect)
-    return _assertion("theorem1", n_max, item, threads, {})
+def verify_theorem1(n_max: int, *, threads: int = 1) -> SuiteReport:
+    """Every accepted graph must have equal clique and chromatic numbers."""
+    return _assertion("theorem1", n_max, _theorem1_item, threads, {})
 
 
 def verify_theorem2(n_max: int, *, threads: int = 1) -> SuiteReport:

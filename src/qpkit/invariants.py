@@ -7,7 +7,7 @@ Everything here is exhaustive and deterministic.  Desk scale is assumed
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .graphs import Graph, bit_members, complement, iter_bits
 
@@ -164,16 +164,6 @@ def chromatic_number(g: Graph) -> int:
         if _k_colorable(g, k, seed):
             return k
     return high
-
-
-class GraphInvariants(NamedTuple):
-    omega: int
-    alpha: int
-    chi: int
-
-
-def invariant_triple(g: Graph) -> GraphInvariants:
-    return GraphInvariants(clique_number(g), independence_number(g), chromatic_number(g))
 
 
 def optimal_colorings(g: Graph) -> Iterator[tuple[int, ...]]:

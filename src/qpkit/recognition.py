@@ -45,7 +45,6 @@ from .invariants import (
     chromatic_number,
     clique_number,
     maximum_cliques,
-    maximum_independent_sets,
 )
 
 DEFAULT_RECOGNITION_LIMIT = 12
@@ -121,18 +120,27 @@ def prime_cliques(g: Graph) -> Iterator[int]:
     yield from prime_independent_sets(complement(g))
 
 
+def _prime_failure(g: Graph, mask: int) -> str | None:
+    """The first prime-independent-set clause mask breaks in g, or None.
+
+    mask must lie inside g's vertex set.  The empty graph has no maximum
+    clique, so the empty set breaks no clause there and misses one elsewhere.
+    """
+    for v in iter_bits(mask):
+        if g.adj[v] & mask:
+            return "pi-not-independent"
+    cliques = maximum_cliques(g)
+    if any(not (q & mask) for q in cliques):
+        return "pi-misses-maximum-clique"
+    if not all(any(q >> v & 1 for q in cliques) for v in iter_bits(mask)):
+        return "pi-vertex-outside-maximum-cliques"
+    return None
+
+
 def is_prime_independent_set(g: Graph, mask: int) -> bool:
     if mask & ~g.vertex_mask:
         raise ValueError("vertex set not contained in the graph")
-    if g.n == 0:
-        return mask == 0
-    for v in iter_bits(mask):
-        if g.adj[v] & mask:
-            return False
-    cliques = maximum_cliques(g)
-    if any(not (q & mask) for q in cliques):
-        return False
-    return all(any(q >> v & 1 for q in cliques) for v in iter_bits(mask))
+    return _prime_failure(g, mask) is None
 
 
 def is_prime_clique(g: Graph, mask: int) -> bool:
@@ -202,6 +210,15 @@ def _well_formed(node: object) -> bool:
             and isinstance(pi_child, bytes) and isinstance(pk_child, bytes))
 
 
+# the reason a prime clique gives for each clause it breaks, since it is
+# checked as a prime independent set of the complement
+_PK_REASONS = {
+    "pi-not-independent": "pk-not-clique",
+    "pi-misses-maximum-clique": "pk-misses-maximum-independent-set",
+    "pi-vertex-outside-maximum-cliques": "pk-vertex-outside-maximum-independent-sets",
+}
+
+
 @lru_cache(maxsize=1 << 16)
 def _verify_node(key: bytes, node: Node) -> CertificateCheck:
     """Every clause of one node, on the graph its key decodes to.
@@ -221,24 +238,12 @@ def _verify_node(key: bytes, node: Node) -> CertificateCheck:
     if pk == 0:
         return _fail("empty-prime-clique", key)
 
-    for v in iter_bits(pi):
-        if h.adj[v] & pi:
-            return _fail("pi-not-independent", key)
-    cliques = maximum_cliques(h)
-    if any(not (q & pi) for q in cliques):
-        return _fail("pi-misses-maximum-clique", key)
-    if not all(any(q >> v & 1 for q in cliques) for v in iter_bits(pi)):
-        return _fail("pi-vertex-outside-maximum-cliques", key)
-
-    for v in iter_bits(pk):
-        if (pk & ~(1 << v)) & ~h.adj[v]:
-            return _fail("pk-not-clique", key)
-    stables = maximum_independent_sets(h)
-    if any(not (s & pk) for s in stables):
-        return _fail("pk-misses-maximum-independent-set", key)
-    if not all(any(s >> v & 1 for s in stables) for v in iter_bits(pk)):
-        return _fail("pk-vertex-outside-maximum-independent-sets", key)
-
+    failure = _prime_failure(h, pi)
+    if failure:
+        return _fail(failure, key)
+    failure = _prime_failure(complement(h), pk)
+    if failure:
+        return _fail(_PK_REASONS[failure], key)
     if key in (pi_child, pk_child):
         return _fail("self-reference", key)
     if canonical_key(induced_subgraph(h, full & ~pi)) != pi_child:
@@ -257,6 +262,11 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     process: a later occurrence, in this certificate or another, reuses
     that result.  The order, the root and the walk over the DAG are
     checked on every call.
+
+    The root key is not relabeled to confirm it is canonical: the proof
+    does not need it, since the order must map the root's graph onto g
+    and every other reachable key is a checked child key, and it would
+    cost a labeling per call.  certificate_from_json checks it instead.
     """
     if len(cert.order) != g.n or sorted(cert.order) != list(range(g.n)):
         return _fail("order-not-permutation")
@@ -408,8 +418,9 @@ def certificate_from_json(text: str) -> tuple[Graph, QpCertificate]:
     """Read a qpcert-v2 document back into the certified graph and its certificate.
 
     Malformed input raises InvalidCertificateError, whose reason names
-    the rule broken; whether the certificate is valid is left to
-    verify_certificate.
+    the rule broken, and so does a root key that is not the canonical key
+    of its graph ("root-key-not-canonical"); whether the certificate is
+    valid is left to verify_certificate.
     """
     try:
         doc = json.loads(text)
@@ -442,6 +453,8 @@ def certificate_from_json(text: str) -> tuple[Graph, QpCertificate]:
             mask_of(_read_vertices(raw[1], n, f"{where} pk")),
             child(raw[2], where), child(raw[3], where))
     key = child(doc["key"], "root")
+    if canonical_key(root) != key:
+        raise InvalidCertificateError("root-key-not-canonical", f"root key {doc['key']!r}")
     return permute(root, order), QpCertificate(key, tuple(order), nodes)
 
 
@@ -584,16 +597,3 @@ class RecognitionEngine:
             nodes[k] = self._memo[k]
             stack += nodes[k][2:]
         return QpCertificate(key, order, nodes)
-
-
-def is_quasiperfect(
-    g: Graph,
-    mode: str = "accelerated",
-    *,
-    limit: int = DEFAULT_RECOGNITION_LIMIT,
-    engine: RecognitionEngine | None = None,
-) -> RecognitionOutcome:
-    """One-shot recognition; builds a fresh engine unless one is supplied."""
-    if engine is None:
-        engine = RecognitionEngine(mode=mode, limit=limit)
-    return engine.recognize(g)

@@ -16,8 +16,8 @@ from qpkit.canonical import (
     _refine,
     automorphism_generators,
     canonical_form,
-    canonical_graph,
     canonical_key,
+    key_graph,
     max_codes_batch,
 )
 from qpkit.families import FamilySpec, c5_blowup_with_apex, odd_cycle_family, replicate
@@ -30,16 +30,12 @@ from qpkit.graphs import (
     from_edges,
     graph6_of_code,
     iter_bits,
+    mask_of,
     parse_graph6,
     permute,
 )
 from qpkit.harness import _subset_orbit_minima
-from qpkit.recognition import (
-    RecognitionEngine,
-    certificate_from_json,
-    certificate_to_json,
-    verify_certificate,
-)
+from qpkit.recognition import QpCertificate, RecognitionEngine, verify_certificate
 
 
 def _refined_key(g):
@@ -81,7 +77,7 @@ class TestCompleteness:
     def test_key_decodes_to_isomorphic_graph(self, rng):
         for _ in range(25):
             g = random_graph(rng, rng.randrange(0, 11))
-            h = canonical_graph(g)
+            h = key_graph(canonical_key(g))
             assert canonical_key(h) == canonical_key(g)
             hx = nx.Graph()
             hx.add_nodes_from(range(g.n))
@@ -361,21 +357,19 @@ class TestKnownClasses:
         assert cli.main(["verify", "all", "--n-max", "6"]) == 0
         capsys.readouterr()
         # a valid certificate of FFzvO whose root node sits under a
-        # relabeled, non-canonical key, its masks relabeled to match
+        # relabeled, non-canonical key, its masks and order relabeled to
+        # match; only an in-memory certificate can carry such a root key
         g = parse_graph6("FFzvO")
-        doc = json.loads(certificate_to_json(g, RecognitionEngine().recognize(g).certificate))
-        root = parse_graph6(doc["key"])
+        cert = RecognitionEngine().recognize(g).certificate
         perm = list(reversed(range(g.n)))
-        relabeled = emit_graph6(permute(root, perm))
-        assert relabeled != doc["key"]
-        pi, pk, pi_child, pk_child = doc["nodes"].pop(doc["key"])
-        doc["nodes"][relabeled] = [[perm[v] for v in pi], [perm[v] for v in pk],
-                                   pi_child, pk_child]
-        doc["order"] = [doc["order"][perm.index(w)] for w in range(g.n)]
-        doc["key"] = relabeled
-        h, cert = certificate_from_json(json.dumps(doc))
-        assert h == g
-        assert verify_certificate(h, cert)
+        relabeled = emit_graph6(permute(key_graph(cert.key), perm)).encode("ascii")
+        assert relabeled != cert.key
+        nodes = dict(cert.nodes)
+        pi, pk, pi_child, pk_child = nodes.pop(cert.key)
+        nodes[relabeled] = (mask_of(perm[v] for v in iter_bits(pi)),
+                            mask_of(perm[v] for v in iter_bits(pk)), pi_child, pk_child)
+        order = tuple(cert.order[perm.index(w)] for w in range(g.n))
+        assert verify_certificate(g, QpCertificate(relabeled, order, nodes))
         # each entry is the code the full search elects on the graph it
         # decodes to
         entries = sorted(canonical._known_codes)

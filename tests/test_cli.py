@@ -347,11 +347,9 @@ class TestConsoleScript:
 class TestImports:
     def test_no_runtime_dependency(self):
         # only what `import qpkit.cli` itself loads: site start-up may load
-        # third-party modules of its own before any user code runs, and
-        # multiprocessing files the main module again as __mp_main__
+        # third-party modules of its own before any user code runs
         probe = ("import json, sys; before = set(sys.modules); import qpkit.cli; "
-                 "print(json.dumps(sorted(name for name in set(sys.modules) - before "
-                 "if sys.modules[name] is not sys.modules['__main__'])))")
+                 "print(json.dumps(sorted(set(sys.modules) - before)))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, check=True)
         loaded = json.loads(proc.stdout)
@@ -359,3 +357,10 @@ class TestImports:
         foreign = [name for name in loaded
                    if name.partition(".")[0] not in sys.stdlib_module_names | {"qpkit"}]
         assert foreign == []
+
+    def test_start_up_imports_no_process_pool(self):
+        # multiprocessing is imported only when a sweep opens a pool
+        probe = "import sys, qpkit.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "False\n"

@@ -1,8 +1,8 @@
 """Enumeration, verification suites, records, and the supergraph search."""
 
 import collections
-import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -20,8 +20,6 @@ from qpkit.graphs import (
 from qpkit.harness import (
     ALL_SUITES,
     ClassificationInvariantError,
-    ClassificationRecord,
-    SuiteReport,
     build_classification_record,
     color_class_removal_survey,
     enumerate_graphs,
@@ -30,7 +28,6 @@ from qpkit.harness import (
     verify_perfect_subset,
     verify_theorem1,
     verify_theorem2,
-    write_records_csv,
 )
 from qpkit.invariants import PerfectionChecker
 from qpkit.recognition import (
@@ -125,16 +122,6 @@ class TestClassificationRecords:
         with pytest.raises(ClassificationInvariantError):
             build_classification_record(cycle_graph(5), engine=LyingEngine())
 
-    def test_csv(self):
-        eng = RecognitionEngine()
-        recs = [build_classification_record(g, engine=eng)
-                for g in enumerate_graphs(3)]
-        buf = io.StringIO()
-        write_records_csv(recs, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0].startswith("graph6,key,n,m,omega")
-        assert len(lines) == 1 + 4
-
 
 class TestTheoremSuites:
     def test_theorem1_clean(self):
@@ -143,14 +130,12 @@ class TestTheoremSuites:
         assert report.graphs_scanned == 53
         assert report.violations == []
 
-    def test_theorem1_catches_corrupt_recognizer(self):
+    def test_theorem1_catches_corrupt_recognizer(self, monkeypatch):
         c5_key = canonical_key(cycle_graph(5))
-
-        def corrupt(g):
-            return canonical_key(g) == c5_key or RecognitionEngine(
-                mode="pure").is_quasiperfect(g)
-
-        report = verify_theorem1(5, recognizer=corrupt)
+        real = harness._pure_quasiperfect
+        monkeypatch.setattr(harness, "_pure_quasiperfect",
+                            lambda g: canonical_key(g) == c5_key or real(g))
+        report = verify_theorem1(5)
         assert not report.passed
         assert any(parse_graph6(g6).n == 5 for g6 in report.violations)
 
@@ -217,10 +202,11 @@ class TestTheoremSuites:
         real = invariants.maximal_cliques
         monkeypatch.setattr(invariants, "maximal_cliques",
                             lambda g: calls.update([g]) or real(g))
+        monkeypatch.setattr(harness, "_pure_quasiperfect", lambda g: True)
         invariants._maximum_cliques.cache_clear()
         graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
         for g in graphs:
-            harness._theorem1_item(lambda g: True, g)
+            harness._theorem1_item(g)
         assert set(calls) == set(graphs)
         assert set(calls.values()) == {1}
 
@@ -255,7 +241,7 @@ class TestTheoremSuites:
         class Context:
             Pool = RecordingPool
 
-        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         return opened
 

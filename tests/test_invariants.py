@@ -26,7 +26,6 @@ from qpkit.invariants import (
     clique_number,
     greedy_coloring_bound,
     independence_number,
-    invariant_triple,
     is_block_graph,
     is_forest,
     is_perfect,
@@ -126,10 +125,6 @@ class TestChromatic:
         for _ in range(25):
             g = random_graph(rng, rng.randrange(1, 9))
             assert chromatic_number(g) * independence_number(g) >= g.n
-
-    def test_triple(self):
-        t = invariant_triple(cycle_graph(5))
-        assert (t.omega, t.alpha, t.chi) == (2, 2, 3)
 
 
 class TestOptimalColorings:

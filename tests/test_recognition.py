@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
-from qpkit.canonical import canonical_form, canonical_key
+from qpkit.canonical import canonical_form, key_graph
 from qpkit.families import FamilySpec, odd_cycle_family, replicate
 from qpkit.graphs import (
     bit_members,
     complement,
     complete_graph,
     cycle_graph,
+    emit_graph6,
     empty_graph,
     from_edges,
     mask_of,
@@ -25,7 +26,7 @@ from qpkit.graphs import (
     permute,
 )
 from qpkit.harness import enumerate_graphs
-from qpkit.invariants import clique_number, chromatic_number
+from qpkit.invariants import clique_number, chromatic_number, maximum_cliques
 from qpkit.recognition import (
     InvalidCertificateError,
     MemoCapacityError,
@@ -41,7 +42,6 @@ from qpkit.recognition import (
     complement_certificate,
     is_prime_clique,
     is_prime_independent_set,
-    is_quasiperfect,
     prime_cliques,
     prime_independent_sets,
     verify_certificate,
@@ -111,17 +111,17 @@ class TestPrimeSets:
 
 class TestRecognition:
     def test_k0_and_k1(self):
-        assert is_quasiperfect(empty_graph(0)).quasiperfect
-        assert is_quasiperfect(empty_graph(1)).quasiperfect
+        assert RecognitionEngine().recognize(empty_graph(0)).quasiperfect
+        assert RecognitionEngine().recognize(empty_graph(1)).quasiperfect
 
     def test_c5_pure_reject(self):
-        out = is_quasiperfect(cycle_graph(5), mode="pure")
+        out = RecognitionEngine(mode="pure").recognize(cycle_graph(5))
         assert not out.quasiperfect
         assert out.certificate is None
 
     def test_family_accept(self):
         fg = odd_cycle_family(FamilySpec(5, (1,)))
-        out = is_quasiperfect(fg.graph)
+        out = RecognitionEngine().recognize(fg.graph)
         assert out.quasiperfect
         assert verify_certificate(fg.graph, out.certificate)
 
@@ -130,7 +130,7 @@ class TestRecognition:
             for g in enumerate_graphs(n):
                 edges = oracles.graph_edges(g)
                 want = oracles.oracle_quasiperfect(n, edges)
-                assert is_quasiperfect(g, mode="pure").quasiperfect == want, edges
+                assert RecognitionEngine(mode="pure").recognize(g).quasiperfect == want, edges
 
     def test_pure_equals_accelerated(self):
         pure = RecognitionEngine(mode="pure")
@@ -192,7 +192,7 @@ class TestRecognition:
 
 
 def _empty_certificate():
-    return is_quasiperfect(empty_graph(0)).certificate
+    return RecognitionEngine().recognize(empty_graph(0)).certificate
 
 
 def _with_node(cert, key, **changes):
@@ -207,7 +207,7 @@ def _with_node(cert, key, **changes):
 class TestCertificates:
     def _family_cert(self):
         fg = odd_cycle_family(FamilySpec(5, (1,)))
-        out = is_quasiperfect(fg.graph)
+        out = RecognitionEngine().recognize(fg.graph)
         return fg.graph, out.certificate
 
     def _inner_key(self, cert):
@@ -271,6 +271,40 @@ class TestCertificates:
         assert chk.reason == "empty-prime-independent-set"
         assert chk.node == inner != cert.key
 
+    @pytest.mark.parametrize("tamper,pi_reason,pk_reason", [
+        ("empty", "empty-prime-independent-set", "empty-prime-clique"),
+        ("edge", "pi-not-independent", "pk-not-clique"),
+        ("vertex", "pi-misses-maximum-clique", "pk-misses-maximum-independent-set"),
+        ("union", "pi-vertex-outside-maximum-cliques",
+         "pk-vertex-outside-maximum-independent-sets"),
+        ("child", "pi-child-mismatch", "pk-child-mismatch"),
+    ])
+    def test_pk_reasons_mirror_pi_reasons(self, tamper, pi_reason, pk_reason):
+        # a prime clique is checked as a prime independent set of the
+        # complement, so the root node tampered in its pi fails with the pi
+        # reason, and its complement certificate fails in pk with the pk one;
+        # no other test reaches most of these reasons
+        g, cert = self._family_cert()
+        h = key_graph(cert.key)
+        pi, pk, pi_child, _ = cert.nodes[cert.key]
+        u = next(v for v in range(h.n) if h.adj[v])
+        cliques = maximum_cliques(h)
+        changes = {
+            "empty": {"pi": 0},
+            "edge": {"pi": 1 << u | h.adj[u] & -h.adj[u]},
+            "vertex": {"pi": 1 << next(v for v in range(h.n)
+                                       if not all(q >> v & 1 for q in cliques))},
+            "union": {"pi": pi | pk},
+            "child": {"pi_child": next(k for k in cert.nodes
+                                       if k not in (pi_child, cert.key))},
+        }[tamper]
+        tampered = _with_node(cert, cert.key, **changes)
+        chk = verify_certificate(g, tampered)
+        assert (chk.ok, chk.reason, chk.node) == (False, pi_reason, cert.key)
+        dual = complement_certificate(tampered)
+        chk = verify_certificate(complement(g), dual)
+        assert (chk.ok, chk.reason, chk.node) == (False, pk_reason, dual.key)
+
     def test_verify_rejects_child_of_wrong_class(self):
         g, cert = self._family_cert()
         _, _, pi_child, pk_child = cert.nodes[cert.key]
@@ -301,7 +335,7 @@ class TestCertificates:
 
     def test_verify_rejects_unreachable_node(self):
         g, cert = self._family_cert()
-        other = is_quasiperfect(complete_graph(5)).certificate
+        other = RecognitionEngine().recognize(complete_graph(5)).certificate
         assert other.key not in cert.nodes
         nodes = {**cert.nodes, other.key: other.nodes[other.key]}
         chk = verify_certificate(g, replace(cert, nodes=nodes))
@@ -418,7 +452,7 @@ class TestCertificateReader:
 
     def _doc(self):
         g = odd_cycle_family(FamilySpec(5, (1,))).graph
-        cert = is_quasiperfect(g).certificate
+        cert = RecognitionEngine().recognize(g).certificate
         return json.loads(certificate_to_json(g, cert)), cert.key.decode()
 
     def _reason(self, doc):
@@ -474,6 +508,21 @@ class TestCertificateReader:
         assert self._reason(doc) == "malformed-node"
         doc["nodes"] = []
         assert self._reason(doc) == "malformed-node"
+
+    def test_root_key_not_canonical(self):
+        # a certificate of FFzvO whose root node sits under a relabeled key
+        # of the same graph, its masks and order relabeled to match
+        g = parse_graph6("FFzvO")
+        doc = json.loads(certificate_to_json(g, RecognitionEngine().recognize(g).certificate))
+        perm = list(reversed(range(g.n)))
+        relabeled = emit_graph6(permute(parse_graph6(doc["key"]), perm))
+        assert relabeled != doc["key"]
+        pi, pk, pi_child, pk_child = doc["nodes"].pop(doc["key"])
+        doc["nodes"][relabeled] = [[perm[v] for v in pi], [perm[v] for v in pk],
+                                   pi_child, pk_child]
+        doc["order"] = [doc["order"][perm.index(w)] for w in range(g.n)]
+        doc["key"] = relabeled
+        assert self._reason(doc) == "root-key-not-canonical"
 
     def test_undecodable_key(self):
         doc, root = self._doc()
@@ -665,7 +714,7 @@ class TestComplementDuality:
         # of its complement differ by an automorphism, so complementing twice
         # may move a node's masks by one; the classes and children stay put
         fg = odd_cycle_family(FamilySpec(5, (1, 3)))
-        cert = is_quasiperfect(fg.graph).certificate
+        cert = RecognitionEngine().recognize(fg.graph).certificate
         cc = complement_certificate(complement_certificate(cert))
         assert verify_certificate(fg.graph, cc)
         assert cc.key == cert.key
@@ -688,7 +737,7 @@ class TestComplementDuality:
         # a node that shares its key with a translated one is translated in
         # full, not answered from the memo entry of the first
         fg = odd_cycle_family(FamilySpec(5, (1, 3)))
-        cert = is_quasiperfect(fg.graph).certificate
+        cert = RecognitionEngine().recognize(fg.graph).certificate
         complement_certificate(cert)  # fills the memo
         pi, pk, pi_child, pk_child = cert.nodes[cert.key]
         for tampered in [(pi | pk, pk, pi_child, pk_child),
@@ -723,4 +772,4 @@ class TestEngineAgainstKnownGraphs:
          False),  # 5-wheel
     ])
     def test_verdicts(self, builder, expected):
-        assert is_quasiperfect(builder()).quasiperfect == expected
+        assert RecognitionEngine().recognize(builder()).quasiperfect == expected
