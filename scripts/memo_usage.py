@@ -6,18 +6,19 @@ Usage: memo_usage.py QPKIT-ARGS...
 For example, ``memo_usage.py verify theorem2 --n-max 8``.  The command's
 own output goes to standard output.  After it, one line per bounded
 ``functools.lru_cache`` in the qpkit modules (its ``cache_info()``), one
-for the set of codes the labeling search stops at (its size and bound),
-and the process's peak resident set size go to standard error.  The exit
-status is the command's, or 1 when a memo has reached its maxsize: a
-memo that evicts during a sweep, or a set that stops growing, does not
-fit the sweep it serves.
+each for the set of codes the labeling search stops at and the record of
+certificate roots that verification and serialization reuse (size and
+bound), and the process's peak resident set size go to standard error.
+The exit status is the command's, or 1 when a memo has reached its
+maxsize: a memo that evicts during a sweep, or a set that stops growing,
+does not fit the sweep it serves.
 """
 
 import resource
 import sys
 
 import qpkit.cli
-from qpkit import canonical
+from qpkit import canonical, recognition
 
 
 def bounded_memos() -> list[tuple[str, object]]:
@@ -41,11 +42,15 @@ def main() -> int:
         print(f"{name}: {info}", file=sys.stderr)
         if info.currsize >= info.maxsize:
             full.append(name)
-    name = "qpkit.canonical._known_codes"
-    size, bound = len(canonical._known_codes), canonical._KNOWN_CODES_MAX
-    print(f"{name}: set(maxsize={bound}, currsize={size})", file=sys.stderr)
-    if size >= bound:
-        full.append(name)
+    for name, held, bound in (
+            ("qpkit.canonical._known_codes", canonical._known_codes,
+             canonical._KNOWN_CODES_MAX),
+            ("qpkit.recognition._root_records", recognition._root_records,
+             recognition._ROOT_RECORDS_MAX)):
+        kind, size = type(held).__name__, len(held)
+        print(f"{name}: {kind}(maxsize={bound}, currsize={size})", file=sys.stderr)
+        if size >= bound:
+            full.append(name)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(f"peak RSS: {peak / 1024:.1f} MiB", file=sys.stderr)
     if full:

@@ -24,6 +24,7 @@ depends on the mode or on what the engine recognized before.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -253,6 +254,57 @@ def _verify_node(key: bytes, node: Node) -> CertificateCheck:
     return CertificateCheck(True)
 
 
+@dataclass(slots=True)
+class _RootRecord:
+    """A private copy of one certificate's nodes, and what is known of them."""
+
+    nodes: dict[bytes, Node]
+    verified: bool = False  # verify_certificate walked exactly these nodes and accepted
+    text: str | None = None  # the "nodes" member as certificate_to_json writes it
+
+
+# Root key -> None after the root's first certificate, then the _RootRecord
+# of a later one.  A root met once, as most dual certificates of a sweep
+# are, costs one key; the record stops taking new roots at _ROOT_RECORDS_MAX.
+_root_records: dict[bytes, _RootRecord | None] = {}
+_ROOT_RECORDS_MAX = 1 << 16
+
+
+def _same_nodes(record: _RootRecord, nodes: dict[bytes, Node]) -> bool:
+    """nodes holds the record's node objects under the record's keys, and no more.
+
+    Identity, not equality: an equal node may still differ in type, as
+    (1.0, ...) does from (1, ...), and be malformed where the other is not.
+    """
+    snap = record.nodes
+    return len(nodes) == len(snap) and all(map(operator.is_, map(nodes.get, snap), snap.values()))
+
+
+def _root_record(cert: QpCertificate) -> _RootRecord | None:
+    """The record of cert's root, describing cert.nodes; None when there is none.
+
+    The first certificate of a root only stores its key.  A later one
+    whose nodes the record does not hold replaces the record with a fresh
+    copy of them, unless some node is not an exact tuple: a list, or a
+    tuple subclass, could change after the copy is taken.  Only bytes
+    keys are recorded; a hand-built key of another type gets None.
+    """
+    if type(cert.key) is not bytes:
+        return None
+    if cert.key not in _root_records:
+        if len(_root_records) < _ROOT_RECORDS_MAX:
+            _root_records[cert.key] = None
+        return None
+    record = _root_records[cert.key]
+    if record is not None and _same_nodes(record, cert.nodes):
+        return record
+    snap = dict(cert.nodes)
+    if not all(type(node) is tuple for node in snap.values()):
+        return None
+    record = _root_records[cert.key] = _RootRecord(snap)
+    return record
+
+
 def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     """Re-derive every clause of the certificate; no recognition memo involved.
 
@@ -260,8 +312,16 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     decodes to, and each child key must be the canonical key of the
     residue it names.  Each distinct (key, node) pair is checked once per
     process: a later occurrence, in this certificate or another, reuses
-    that result.  The order, the root and the walk over the DAG are
-    checked on every call.
+    that result.
+
+    The order and the root are checked on every call.  The walk over the
+    DAG is skipped when a certificate of the same root with exactly these
+    node objects (the same keys, each holding the identical tuple) was
+    walked and accepted before.  That is sound because the walk reads only
+    the root key and the nodes, the root record holds its own copy of the
+    nodes dict, so editing the caller's dict cannot reach it, and a tuple
+    of ints and bytes cannot change; lists and tuple subclasses are never
+    recorded.  A rejected certificate never marks a record accepted.
 
     The root key is not relabeled to confirm it is canonical: the proof
     does not need it, since the order must map the root's graph onto g
@@ -275,6 +335,9 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         return _fail("undecodable-key", cert.key)
     if root.n != g.n or permute(root, cert.order) != g:
         return _fail("root-mismatch")
+    record = _root_records.get(cert.key)
+    if record is not None and record.verified and _same_nodes(record, cert.nodes):
+        return CertificateCheck(True)
     seen: set[bytes] = set()
     stack = [cert.key]
     while stack:
@@ -294,6 +357,9 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         stack += node[2:]
     if len(seen) != len(cert.nodes):
         return _fail("unreachable-node", next(k for k in cert.nodes if k not in seen))
+    record = _root_record(cert)
+    if record is not None:
+        record.verified = True
     return CertificateCheck(True)
 
 
@@ -379,17 +445,26 @@ def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
     """Compact JSON document (schema qpcert-v2) for a certificate of g.
 
     g itself is not stored: it is the root key's graph with slot p moved
-    to vertex order[p].
+    to vertex order[p].  The text is json.dumps of the document with
+    separators (",", ":") and sorted keys, plus a newline.  The "nodes"
+    member is written once per root record and reused while a later
+    certificate of that root holds the same node objects (see
+    verify_certificate); "key" and "order" are written on every call.
     """
-    doc = {
-        "schema": CERTIFICATE_SCHEMA,
-        "key": cert.key.decode("ascii"),
-        "order": list(cert.order),
-        "nodes": {key.decode("ascii"): [bit_members(pi), bit_members(pk),
-                                        pi_child.decode("ascii"), pk_child.decode("ascii")]
-                  for key, (pi, pk, pi_child, pk_child) in cert.nodes.items()},
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    key_text = json.dumps(cert.key.decode("ascii"))
+    record = _root_record(cert)
+    nodes_text = record.text if record is not None else None
+    if nodes_text is None:
+        nodes_text = json.dumps(
+            {key.decode("ascii"): [bit_members(pi), bit_members(pk),
+                                   pi_child.decode("ascii"), pk_child.decode("ascii")]
+             for key, (pi, pk, pi_child, pk_child) in cert.nodes.items()},
+            separators=(",", ":"), sort_keys=True)
+        if record is not None:
+            record.text = nodes_text
+    order_text = json.dumps(list(cert.order), separators=(",", ":"))
+    return (f'{{"key":{key_text},"nodes":{nodes_text},"order":{order_text},'
+            f'"schema":"{CERTIFICATE_SCHEMA}"}}\n')
 
 
 def _read_vertices(raw: object, n: int, where: str) -> list[int]:

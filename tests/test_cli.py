@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qpkit import canonical, cli, invariants
+from qpkit import canonical, cli, invariants, recognition
 from qpkit.cli import main
 from qpkit.graphs import cycle_graph, emit_graph6, empty_graph
 from qpkit.harness import ALL_SUITES, SuiteReport
@@ -308,6 +308,7 @@ class TestMemoUsage:
                      "invariants._maximum_cliques", "recognition._verify_node"):
             assert f"qpkit.{name}: CacheInfo(" in out.err
         assert "qpkit.canonical._known_codes: set(maxsize=65536, currsize=" in out.err
+        assert "qpkit.recognition._root_records: dict(maxsize=65536, currsize=" in out.err
         assert "peak RSS: " in out.err
 
     def test_a_full_memo_fails(self, monkeypatch, capsys):
@@ -323,6 +324,12 @@ class TestMemoUsage:
         code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
         assert code == 1
         assert "memos at maxsize: qpkit.canonical._known_codes" in out.err
+
+    def test_a_full_root_record_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(recognition, "_ROOT_RECORDS_MAX", 1)
+        code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
+        assert code == 1
+        assert "memos at maxsize: qpkit.recognition._root_records" in out.err
 
 
 class TestConsoleScript:
