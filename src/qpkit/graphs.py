@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 MAX_VERTICES = 64
 
 _G6_HEADER = ">>graph6<<"
+_G6_BYTES = bytes(range(63, 127))  # the printable bytes graph6 uses
 
 
 class GraphFormatError(ValueError):
@@ -139,17 +140,27 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
-    """Induced subgraph on the vertex set s, relabeled 0..|s|-1 in index order."""
+    """Induced subgraph on the vertex set s, relabeled 0..|s|-1 in index order.
+
+    Every row is masked to s.  Then each run of consecutive dropped
+    vertices, the highest run first, loses its rows, and every row left
+    loses its bits: the bits above the run shift down over it.  That is
+    one pass over the rows per run.
+    """
     mask = s if isinstance(s, int) else mask_of(s)
-    if mask & ~g.vertex_mask:
+    full = g.vertex_mask
+    if mask & ~full:
         raise GraphFormatError("vertex set not contained in the graph")
-    vs = bit_members(mask)
-    pos = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for i, v in enumerate(vs):
-        for u in iter_bits(g.adj[v] & mask):
-            adj[i] |= 1 << pos[u]
-    return _trusted(len(vs), tuple(adj))
+    rows = [row & mask for row in g.adj]
+    drop = full & ~mask
+    while drop:
+        top = drop.bit_length()  # one past the run's highest vertex
+        low = (~drop & ((1 << top) - 1)).bit_length()  # the run's lowest vertex
+        del rows[low:top]
+        keep = (1 << low) - 1
+        rows = [r & keep | r >> top - low & ~keep for r in rows]
+        drop &= keep
+    return _trusted(len(rows), tuple(rows))
 
 
 def add_vertex(g: Graph, nbrs: int) -> Graph:
@@ -211,9 +222,9 @@ def parse_graph6(text: str | bytes) -> Graph:
         data = bytes(text).strip()
     if data.startswith(_G6_HEADER.encode()):
         data = data[len(_G6_HEADER):]
-    for b in data:
-        if not 63 <= b <= 126:
-            raise GraphFormatError(f"byte {b} outside graph6 range")
+    bad = data.translate(None, _G6_BYTES)
+    if bad:
+        raise GraphFormatError(f"byte {bad[0]} outside graph6 range")
     n, body = _g6_parse_size(data)
     if n < 0 or n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} outside 0..{MAX_VERTICES}")
@@ -222,19 +233,27 @@ def parse_graph6(text: str | bytes) -> Graph:
     if len(body) != need:
         raise GraphFormatError(
             f"expected {need} payload bytes for n={n}, got {len(body)}")
+    # the whole payload as one int, the pair (0, 1) in its top bit; column
+    # j is the next j-bit field below, with the pair (0, j) at its top
+    code = 0
+    for b in body:
+        code = code << 6 | b - 63
+    pad = need * 6 - nbits
     adj = [0] * n
-    k = 0
+    pos = need * 6
     for j in range(1, n):
-        for i in range(j):
-            bit = (body[k // 6] - 63) >> (5 - k % 6) & 1
-            if bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    if need:
-        pad = need * 6 - nbits
-        if (body[-1] - 63) & ((1 << pad) - 1):
-            raise GraphFormatError("nonzero padding bits")
+        pos -= j
+        col = code >> pos & ((1 << j) - 1)
+        row = 0
+        while col:
+            low = col & -col
+            col ^= low
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            row |= 1 << i
+        adj[j] = row
+    if code & ((1 << pad) - 1):
+        raise GraphFormatError("nonzero padding bits")
     return _trusted(n, tuple(adj))
 
 

@@ -395,10 +395,10 @@ def minimal_qp_supergraph(
 ) -> tuple[Graph, int] | None:
     """Smallest extension of g by added vertices that is quasiperfect.
 
-    Tries k = 0..k_max added vertices; for each k, every attachment of
-    the new vertices is generated in ascending mask order, deduplicated
-    by canonical key, and tested.  Returns the first witness (which
-    contains g as an induced subgraph by construction) or None.
+    Tries k = 0..k_max added vertices; for each k, the attachments of the
+    new vertices are generated in ascending mask order, deduplicated by
+    canonical key, and tested.  Returns the first witness (which contains
+    g as an induced subgraph by construction) or None.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -420,8 +420,21 @@ def minimal_qp_supergraph(
 
 
 def _attachments(g: Graph, k: int):
+    """g with k vertices added, one neighbourhood mask per orbit at each step.
+
+    Each added vertex takes the smallest mask of each orbit of Aut of the
+    graph built so far, in ascending order.  The full search, every mask
+    at every step, meets some class first at masks (m1, ..., mk).  Each mi
+    is the smallest of its orbit: an automorphism s of the graph before
+    step i with s(mi) < mi, extended to fix the later vertices, carries
+    that extension to an isomorphic one with masks (m1, ..., s(mi),
+    s'(m(i+1)), ...), which the full search, taking mask tuples in
+    lexicographic order, meets earlier.  So every class is met here, and
+    first at the same graph, and the witness and k that
+    minimal_qp_supergraph returns are those of the full search.
+    """
     if k == 0:
         yield g
         return
-    for mask in range(1 << g.n):
+    for mask in _subset_orbit_minima(g.n, automorphism_generators(g)):
         yield from _attachments(add_vertex(g, mask), k - 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, bit_members, complement, iter_bits
+from .graphs import Graph, bit_members, complement, iter_bits, mask_of
 
 DEFAULT_PERFECTION_LIMIT = 10
 
@@ -91,62 +91,66 @@ def maximum_independent_sets(g: Graph) -> list[int]:
 
 
 def greedy_coloring_bound(g: Graph) -> int:
-    """Largest-first greedy coloring; an upper bound for the chromatic number."""
-    if g.n == 0:
-        return 0
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors = [-1] * g.n
-    used = 0
-    for v in order:
-        taken = 0
-        for u in iter_bits(g.adj[v]):
-            if colors[u] >= 0:
-                taken |= 1 << colors[u]
-        c = 0
-        while taken >> c & 1:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return used
+    """Largest-first greedy coloring; an upper bound for the chromatic number.
+
+    Vertices go by degree, highest first and ties in vertex order, and
+    each joins the first color class, kept as a vertex mask, that holds
+    none of its neighbours.
+    """
+    adj = g.adj
+    classes: list[int] = []
+    for v in sorted(range(g.n), key=lambda v: -adj[v].bit_count()):
+        row = adj[v]
+        for c, members in enumerate(classes):
+            if not members & row:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 def _k_colorable(g: Graph, k: int, seed: list[int]) -> bool:
-    """Whether g has a proper k-coloring extending the clique seed."""
-    n = g.n
+    """Whether g has a proper k-coloring extending the clique seed.
+
+    Each color class is a vertex mask.  The next vertex is the uncolored
+    one of highest saturation (the colors among its neighbours), then of
+    highest degree, then the lowest; it tries the colors it misses in
+    increasing order, at most one unused color among them.
+    """
     adj = g.adj
-    colors = [-1] * n
-    for i, v in enumerate(seed):
-        colors[v] = i
+    degree = [row.bit_count() for row in adj]
+    classes = [1 << v for v in seed] + [0] * (k - len(seed))
 
-    def pick() -> tuple[int, int]:
-        """The uncolored vertex of highest saturation, and its neighbours' colors."""
-        best, best_rank, best_sat = -1, (-1, -1, 0), 0
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            sat = 0
-            for u in iter_bits(adj[v]):
-                if colors[u] >= 0:
-                    sat |= 1 << colors[u]
-            rank = (sat.bit_count(), g.degree(v), -v)
-            if rank > best_rank:
-                best, best_rank, best_sat = v, rank, sat
-        return best, best_sat
-
-    def rec(done: int, used: int) -> bool:
-        if done == n:
+    def rec(left: int, used: int) -> bool:
+        if not left:
             return True
-        v, taken = pick()
+        best, best_rank, taken = -1, (-1, -1, 0), 0
+        rest = left
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            row = adj[v]
+            sat = 0
+            for c in range(used):
+                if classes[c] & row:
+                    sat |= 1 << c
+            rank = (sat.bit_count(), degree[v], -v)
+            if rank > best_rank:
+                best, best_rank, taken = v, rank, sat
+        bit = 1 << best
+        left ^= bit
         for c in range(min(used + 1, k)):
             if taken >> c & 1:
                 continue
-            colors[v] = c
-            if rec(done + 1, used + (1 if c == used else 0)):
+            classes[c] |= bit
+            if rec(left, used + (c == used)):
                 return True
-            colors[v] = -1
+            classes[c] ^= bit
         return False
 
-    return rec(len(seed), len(seed))
+    return rec(g.vertex_mask & ~mask_of(seed), len(seed))
 
 
 def chromatic_number(g: Graph) -> int:
@@ -266,16 +270,25 @@ def _has_odd_hole(g: Graph) -> bool:
     for s in range(g.n):
         above = g.vertex_mask & ~((2 << s) - 1)
         ring = adj[s] & above
-        stack = [(p, 2, 1 << p) for p in iter_bits(ring)]
+        stack = []
+        rest = ring
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            stack.append((low.bit_length() - 1, 2, low))
         while stack:
             last, length, blocked = stack.pop()
-            for v in iter_bits(adj[last] & above & ~blocked):
-                if ring >> v & 1:
-                    # the cycle closed at v has length + 1 vertices
+            row = adj[last]
+            rest = row & above & ~blocked
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if ring & low:
+                    # the cycle closed here has length + 1 vertices
                     if length >= 4 and length % 2 == 0:
                         return True
                 else:
-                    stack.append((v, length + 1, blocked | adj[last]))
+                    stack.append((low.bit_length() - 1, length + 1, blocked | row))
     return False
 
 

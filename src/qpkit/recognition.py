@@ -93,8 +93,11 @@ def _transversal_sets(g: Graph, cliques: list[int]) -> list[int]:
         else:
             out.append(chosen)
             return
-        for v in iter_bits(target & ~closed):
-            extend(chosen | 1 << v, closed | adj[v])
+        rest = target & ~closed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            extend(chosen | low, closed | adj[low.bit_length() - 1])
 
     extend(0, 0)
     return out
@@ -127,13 +130,20 @@ def _prime_failure(g: Graph, mask: int) -> str | None:
     mask must lie inside g's vertex set.  The empty graph has no maximum
     clique, so the empty set breaks no clause there and misses one elsewhere.
     """
-    for v in iter_bits(mask):
-        if g.adj[v] & mask:
+    adj = g.adj
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if adj[low.bit_length() - 1] & mask:
             return "pi-not-independent"
     cliques = maximum_cliques(g)
-    if any(not (q & mask) for q in cliques):
-        return "pi-misses-maximum-clique"
-    if not all(any(q >> v & 1 for q in cliques) for v in iter_bits(mask)):
+    covered = 0
+    for q in cliques:
+        if not q & mask:
+            return "pi-misses-maximum-clique"
+        covered |= q
+    if mask & ~covered:
         return "pi-vertex-outside-maximum-cliques"
     return None
 
@@ -314,6 +324,10 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     process: a later occurrence, in this certificate or another, reuses
     that result.
 
+    The order must hold each of 0..n-1 once, each an exact int, as
+    certificate_from_json demands too: a float or a bool compares equal to
+    an int but cannot relabel a vertex.
+
     The order and the root are checked on every call.  The walk over the
     DAG is skipped when a certificate of the same root with exactly these
     node objects (the same keys, each holding the identical tuple) was
@@ -328,12 +342,14 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     and every other reachable key is a checked child key, and it would
     cost a labeling per call.  certificate_from_json checks it instead.
     """
-    if len(cert.order) != g.n or sorted(cert.order) != list(range(g.n)):
+    order = cert.order
+    if (len(order) != g.n or not all(type(v) is int for v in order)
+            or sorted(order) != list(range(g.n))):
         return _fail("order-not-permutation")
     root = _decode(cert.key)
     if root is None:
         return _fail("undecodable-key", cert.key)
-    if root.n != g.n or permute(root, cert.order) != g:
+    if root.n != g.n or permute(root, order) != g:
         return _fail("root-mismatch")
     record = _root_records.get(cert.key)
     if record is not None and record.verified and _same_nodes(record, cert.nodes):

@@ -312,3 +312,197 @@ def order_code(adj, order):
         for i in range(j):
             code = code << 1 | (adj[order[j]] >> order[i] & 1)
     return code
+
+
+# ---------------------------------------------------------------------------
+# The package's kernels as they were before they worked on whole words.
+# Unlike the brute-force oracles above they follow the package's own
+# algorithms, orders and messages, because the word-level kernels must
+# reproduce every output exactly.  Graphs are plain tuples of row masks.
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def former_induced_subgraph(adj, mask):
+    """Rows of the subgraph induced on mask, relabeled in index order."""
+    vs = list(_bits(mask))
+    pos = {v: i for i, v in enumerate(vs)}
+    rows = [0] * len(vs)
+    for i, v in enumerate(vs):
+        for u in _bits(adj[v] & mask):
+            rows[i] |= 1 << pos[u]
+    return tuple(rows)
+
+
+def former_greedy_coloring_bound(adj):
+    """Largest-first greedy coloring, one color per vertex."""
+    n = len(adj)
+    if n == 0:
+        return 0
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    colors = [-1] * n
+    used = 0
+    for v in order:
+        taken = 0
+        for u in _bits(adj[v]):
+            if colors[u] >= 0:
+                taken |= 1 << colors[u]
+        c = 0
+        while taken >> c & 1:
+            c += 1
+        colors[v] = c
+        used = max(used, c + 1)
+    return used
+
+
+def former_k_colorable(adj, k, seed):
+    """k-colorability extending the clique seed, saturation from neighbours."""
+    n = len(adj)
+    colors = [-1] * n
+    for i, v in enumerate(seed):
+        colors[v] = i
+
+    def pick():
+        best, best_rank, best_sat = -1, (-1, -1, 0), 0
+        for v in range(n):
+            if colors[v] >= 0:
+                continue
+            sat = 0
+            for u in _bits(adj[v]):
+                if colors[u] >= 0:
+                    sat |= 1 << colors[u]
+            rank = (sat.bit_count(), adj[v].bit_count(), -v)
+            if rank > best_rank:
+                best, best_rank, best_sat = v, rank, sat
+        return best, best_sat
+
+    def rec(done, used):
+        if done == n:
+            return True
+        v, taken = pick()
+        for c in range(min(used + 1, k)):
+            if taken >> c & 1:
+                continue
+            colors[v] = c
+            if rec(done + 1, used + (1 if c == used else 0)):
+                return True
+            colors[v] = -1
+        return False
+
+    return rec(len(seed), len(seed))
+
+
+def former_transversal_sets(adj, cliques):
+    """Independent sets picking one vertex from every listed clique, in
+    the order of the branching on the first uncovered clique."""
+    out = []
+
+    def extend(chosen, closed):
+        for q in cliques:
+            if not q & chosen:
+                target = q
+                break
+        else:
+            out.append(chosen)
+            return
+        for v in _bits(target & ~closed):
+            extend(chosen | 1 << v, closed | adj[v])
+
+    extend(0, 0)
+    return out
+
+
+def former_has_odd_hole(adj):
+    """Odd hole test by chordless paths above each lowest vertex."""
+    n = len(adj)
+    full = (1 << n) - 1
+    for s in range(n):
+        above = full & ~((2 << s) - 1)
+        ring = adj[s] & above
+        stack = [(p, 2, 1 << p) for p in _bits(ring)]
+        while stack:
+            last, length, blocked = stack.pop()
+            for v in _bits(adj[last] & above & ~blocked):
+                if ring >> v & 1:
+                    if length >= 4 and length % 2 == 0:
+                        return True
+                else:
+                    stack.append((v, length + 1, blocked | adj[last]))
+    return False
+
+
+def former_parse_graph6(text):
+    """(n, rows) of one graph6 string, bit by bit; ValueError with the
+    package's message on malformed input."""
+    if isinstance(text, str):
+        try:
+            data = text.strip().encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ValueError("graph6 must be printable ASCII") from exc
+    else:
+        data = bytes(text).strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    for b in data:
+        if not 63 <= b <= 126:
+            raise ValueError(f"byte {b} outside graph6 range")
+    if not data:
+        raise ValueError("empty graph6 string")
+    if data[0] != 126:
+        n, body = data[0] - 63, data[1:]
+    elif len(data) >= 2 and data[1] == 126:
+        raise ValueError("graph6 size beyond supported range")
+    elif len(data) < 4:
+        raise ValueError("truncated graph6 size header")
+    else:
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    if n < 0 or n > 64:
+        raise ValueError(f"vertex count {n} outside 0..64")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"expected {need} payload bytes for n={n}, got {len(body)}")
+    adj = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (body[k // 6] - 63) >> (5 - k % 6) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    if need and (body[-1] - 63) & ((1 << need * 6 - nbits) - 1):
+        raise ValueError("nonzero padding bits")
+    return n, tuple(adj)
+
+
+def exhaustive_qp_supergraph(g, k_max, engine):
+    """minimal_qp_supergraph as it was: every neighbourhood mask of every
+    added vertex, in ascending order, the first graph per class tested.
+
+    It uses the package's extension step, keys and engine, because it
+    pins the witness the orbit-pruned search must return."""
+    from qpkit.canonical import canonical_key
+    from qpkit.graphs import add_vertex
+
+    def attachments(h, k):
+        if k == 0:
+            yield h
+            return
+        for mask in range(1 << h.n):
+            yield from attachments(add_vertex(h, mask), k - 1)
+
+    for k in range(k_max + 1):
+        seen = set()
+        for h in attachments(g, k):
+            key = canonical_key(h)
+            if key in seen:
+                continue
+            seen.add(key)
+            if engine.is_quasiperfect(h):
+                return h, k
+    return None

@@ -319,6 +319,20 @@ class TestCertificates:
         short = replace(cert, order=cert.order[1:])
         assert verify_certificate(g, short).reason == "order-not-permutation"
 
+    @pytest.mark.parametrize("entry", [float, lambda v: bool(v) if v < 2 else v],
+                             ids=["float", "bool"])
+    def test_verify_rejects_order_entries_that_are_not_ints(self, entry):
+        # C4's order with 0 and 1 as bools, or every entry as a float, passes
+        # a sorted() test, but only an int can relabel a vertex
+        g = cycle_graph(4)
+        cert = RecognitionEngine().recognize(g).certificate
+        bad = replace(cert, order=tuple(map(entry, cert.order)))
+        assert bad.order == cert.order  # equal as numbers, entry by entry
+        assert verify_certificate(g, bad).reason == "order-not-permutation"
+        with pytest.raises(InvalidCertificateError, match="order-not-permutation"):
+            coloring_from_certificate(g, bad)
+        assert verify_certificate(g, cert)
+
     def test_verify_rejects_order_mapping_elsewhere(self):
         g, cert = self._family_cert()
         order = list(cert.order)
