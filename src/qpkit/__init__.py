@@ -33,7 +33,6 @@ from .invariants import (
     is_perfect,
     maximum_cliques,
     maximum_independent_sets,
-    optimal_colorings,
 )
 from .recognition import (
     CERTIFICATE_SCHEMA,

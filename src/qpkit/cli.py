@@ -170,11 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    fn = ALL_SUITES[args.survey]
-    kwargs = {"threads": args.threads}
-    if args.survey == "color-removal":
-        kwargs["all_colorings"] = args.all_colorings
-    report = fn(args.n_max, **kwargs)
+    report = ALL_SUITES[args.survey](args.n_max, threads=args.threads)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -229,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("survey", choices=("color-removal", "reading-divergence"))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--threads", type=_thread_count, default=1)
-    p.add_argument("--all-colorings", action="store_true",
-                   help="color-removal only: sweep every optimal coloring "
-                        "(n-max <= 5)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_survey)
 
@@ -246,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "all_colorings", False) and args.survey != "color-removal":
-        parser.error("--all-colorings applies to the color-removal survey only")
     try:
         return args.fn(args)
     except _LIMIT_ERRORS as exc:

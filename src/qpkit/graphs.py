@@ -177,7 +177,7 @@ def add_vertex(g: Graph, nbrs: int) -> Graph:
 def permute(g: Graph, perm: Iterable[int]) -> Graph:
     """Relabel so that vertex v becomes perm[v]."""
     p = tuple(perm)
-    if sorted(p) != list(range(g.n)):
+    if not all(type(v) is int for v in p) or sorted(p) != list(range(g.n)):
         raise GraphFormatError("not a permutation of the vertex range")
     adj = [0] * g.n
     for v in range(g.n):

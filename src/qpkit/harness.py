@@ -17,10 +17,11 @@ from .canonical import automorphism_generators, canonical_key, key_graph
 from .graphs import (
     Graph,
     add_vertex,
+    bit_members,
     complement,
     emit_graph6,
     induced_subgraph,
-    mask_of,
+    iter_bits,
 )
 from .invariants import (
     DEFAULT_PERFECTION_LIMIT,
@@ -29,14 +30,12 @@ from .invariants import (
     clique_number,
     independence_number,
     is_perfect,
-    optimal_colorings,
 )
 from .families import replication_prime_clique
 from .recognition import (
     RecognitionEngine,
     RecognitionLimitError,
     complement_certificate,
-    coloring_from_certificate,
     is_prime_clique,
     verify_certificate,
 )
@@ -282,21 +281,28 @@ def _perfect_subset_item(g: Graph) -> bool:
     return g.n == 0 or is_prime_clique(g, replication_prime_clique(g))
 
 
-def _removal_item(all_colorings: bool, g: Graph) -> list[bool] | None:
-    """Whether each color class's residue is accepted; None if g is not."""
+def _removal_item(g: Graph) -> list[tuple[int, bool]] | None:
+    """Each optimal colour class of g, one per orbit, and whether its residue is accepted.
+
+    S is a colour class of some optimal colouring of g exactly when S is a
+    nonempty independent set with chi(g - S) = chi(g) - 1.  If S is a
+    class, the other classes colour g - S with chi - 1 colours, and
+    chi(g - S) >= chi - 1 always.  Conversely, any (chi - 1)-colouring of
+    g - S plus S is optimal.  So no colouring is listed: each orbit of
+    Aut(g) on vertex subsets is taken at its smallest mask, kept when it
+    passes that test, and its residue is asked of the engine.  Returns
+    (mask, accepted) per kept orbit, or None if g is rejected.
+    """
     eng = _engine("conjunctive")
-    out = eng.recognize(g)
-    if not out.quasiperfect:
+    if not eng.is_quasiperfect(g):
         return None
-    if all_colorings:
-        colorings = [dict(enumerate(c)) for c in optimal_colorings(g)]
-    else:
-        colorings = [coloring_from_certificate(g, out.certificate)]
+    chi = chromatic_number(g)
     results = []
-    for coloring in colorings:
-        for cls in sorted(set(coloring.values())):
-            removed = mask_of(v for v, c in coloring.items() if c == cls)
-            results.append(eng.is_quasiperfect(induced_subgraph(g, g.vertex_mask & ~removed)))
+    for s in _subset_orbit_minima(g.n, automorphism_generators(g)):
+        if s and not any(g.adj[v] & s for v in iter_bits(s)):
+            residue = induced_subgraph(g, g.vertex_mask & ~s)
+            if chromatic_number(residue) == chi - 1:
+                results.append((s, eng.is_quasiperfect(residue)))
     return results
 
 
@@ -323,36 +329,28 @@ def verify_perfect_subset(n_max: int, *, threads: int = 1) -> SuiteReport:
                       {"perfection_limit": DEFAULT_PERFECTION_LIMIT})
 
 
-def color_class_removal_survey(
-    n_max: int, *, threads: int = 1, all_colorings: bool = False
-) -> SuiteReport:
-    """Does removing one color class of an optimal coloring preserve the property?
+def color_class_removal_survey(n_max: int, *, threads: int = 1) -> SuiteReport:
+    """Does removing any colour class of an optimal colouring preserve acceptance?
 
-    By construction the certificate's own top color class does; the other
-    classes are the open part.  Findings never fail the run.  With
-    all_colorings set, every optimal partition is swept (n <= 5 only).
+    Classes are counted once per orbit under Aut(g); each counterexample
+    names the smallest mask of its orbit.  Findings never fail the run.
     """
     t0 = time.perf_counter()
-    if all_colorings and n_max > 5:
-        raise ValueError("full coloring sweep is limited to n_max <= 5")
-    graphs, results = _sweep(n_max, functools.partial(_removal_item, all_colorings), threads)
-    accepted = [(g, oks) for g, oks in zip(graphs, results) if oks is not None]
+    graphs, results = _sweep(n_max, _removal_item, threads)
+    accepted = [(g, rows) for g, rows in zip(graphs, results) if rows is not None]
     findings = {
         "graphs_quasiperfect": len(accepted),
-        "classes_checked": sum(len(oks) for _, oks in accepted),
-        "classes_preserving": sum(sum(oks) for _, oks in accepted),
-        "counterexamples": [{"graph6": emit_graph6(g), "class_index": idx}
-                            for g, oks in accepted
-                            for idx, ok in enumerate(oks) if not ok],
-        "all_colorings": all_colorings,
+        "classes_checked": sum(len(rows) for _, rows in accepted),
+        "classes_preserving": sum(ok for _, rows in accepted for _, ok in rows),
+        "counterexamples": [{"graph6": emit_graph6(g), "class": bit_members(s)}
+                            for g, rows in accepted for s, ok in rows if not ok],
     }
     return SuiteReport(
         suite="color-removal",
         n_max=n_max,
         graphs_scanned=len(graphs),
         violations=[],
-        config={"mode": "pure", "reading": "conjunctive", "threads": threads,
-                "all_colorings": all_colorings},
+        config={"mode": "pure", "reading": "conjunctive", "threads": threads},
         findings=findings,
         runtime_seconds=time.perf_counter() - t0,
     )

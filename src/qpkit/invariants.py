@@ -7,7 +7,6 @@ Everything here is exhaustive and deterministic.  Desk scale is assumed
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .graphs import Graph, bit_members, complement, iter_bits, mask_of
 
@@ -168,39 +167,6 @@ def chromatic_number(g: Graph) -> int:
         if _k_colorable(g, k, seed):
             return k
     return high
-
-
-def optimal_colorings(g: Graph) -> Iterator[tuple[int, ...]]:
-    """All proper colorings with exactly chromatic_number(g) colors.
-
-    Color classes are canonical: vertex 0 gets color 0 and each later
-    vertex may open at most the next unused color, so each partition into
-    classes appears exactly once.
-    """
-    chi = chromatic_number(g)
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    colors = [-1] * n
-
-    def rec(v: int, used: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            if used == chi:
-                yield tuple(colors)
-            return
-        taken = 0
-        for u in iter_bits(g.adj[v]):
-            if colors[u] >= 0:
-                taken |= 1 << colors[u]
-        for c in range(min(used + 1, chi)):
-            if taken >> c & 1:
-                continue
-            colors[v] = c
-            yield from rec(v + 1, used + (1 if c == used else 0))
-            colors[v] = -1
-
-    yield from rec(0, 0)
 
 
 def _component_count(g: Graph) -> int:

@@ -61,7 +61,7 @@ class RecognitionLimitError(RuntimeError):
 
 
 class MemoCapacityError(RuntimeError):
-    """Recognition memo grew past its configured capacity."""
+    """Recognition memo grew past DEFAULT_MEMO_CAPACITY entries."""
 
 
 class InvalidCertificateError(ValueError):
@@ -582,7 +582,6 @@ class RecognitionEngine:
         mode: str = "accelerated",
         limit: int = DEFAULT_RECOGNITION_LIMIT,
         reading: str = "conjunctive",
-        memo_capacity: int = DEFAULT_MEMO_CAPACITY,
     ) -> None:
         if mode not in ("pure", "accelerated"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -591,7 +590,6 @@ class RecognitionEngine:
         self.mode = mode
         self.limit = limit
         self.reading = reading
-        self.memo_capacity = memo_capacity
         self._memo: dict[bytes, bool | Node] = {}
         self._nodes = 0
         self._hits = 0
@@ -618,9 +616,9 @@ class RecognitionEngine:
     # -- internals
 
     def _store(self, key: bytes, entry: bool | Node) -> None:
-        if len(self._memo) >= self.memo_capacity and key not in self._memo:
+        if len(self._memo) >= DEFAULT_MEMO_CAPACITY and key not in self._memo:
             raise MemoCapacityError(
-                f"recognition memo exceeded {self.memo_capacity} entries")
+                f"recognition memo exceeded {DEFAULT_MEMO_CAPACITY} entries")
         self._memo[key] = entry
 
     def _lookup(self, g: Graph) -> tuple[bytes, bool | Node]:

@@ -107,6 +107,32 @@ def oracle_chromatic(n, edges):
     raise AssertionError("unreachable")
 
 
+def oracle_optimal_colorings(n, edges):
+    """Every proper colouring with exactly oracle_chromatic colours.
+
+    Colours are canonical: vertex 0 takes colour 0 and each later vertex
+    may open at most the next unused colour, so each partition into
+    classes appears exactly once.
+    """
+    a = adj_dict(n, edges)
+    chi = oracle_chromatic(n, edges)
+    colors = [-1] * n
+
+    def rec(v, used):
+        if v == n:
+            if used == chi:
+                yield tuple(colors)
+            return
+        taken = {colors[u] for u in a[v]}
+        for c in range(min(used + 1, chi)):
+            if c not in taken:
+                colors[v] = c
+                yield from rec(v + 1, max(used, c + 1))
+        colors[v] = -1
+
+    yield from rec(0, 0)
+
+
 def oracle_prime_independent_sets(n, edges):
     """All vertex sets satisfying the prime-independent-set clauses.
 

@@ -236,11 +236,13 @@ class TestSurvey:
         doc = json.loads(out)
         assert doc["findings"]["counterexamples"] == []
 
-    def test_all_colorings_is_for_color_removal_only(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["survey", "reading-divergence", "--all-colorings", "--n-max", "2"])
-        assert exc.value.code == 2
-        assert "--all-colorings" in capsys.readouterr().err
+    def test_all_colorings_is_rejected(self, capsys):
+        # color-removal sweeps every optimal colour class without the flag
+        for survey in ("color-removal", "reading-divergence"):
+            with pytest.raises(SystemExit) as exc:
+                main(["survey", survey, "--all-colorings", "--n-max", "2"])
+            assert exc.value.code == 2
+            assert "--all-colorings" in capsys.readouterr().err
 
     def test_divergence(self, capsys):
         code = main(["survey", "reading-divergence", "--n-max", "4"])

@@ -109,6 +109,14 @@ class TestComplementInduced:
         h = permute(g, [2, 0, 1])  # vertex v lands on perm[v]
         assert h.has_edge(2, 0) and not h.has_edge(0, 1)
 
+    @pytest.mark.parametrize("perm", [[0.0, 1.0, 2.0, 3.0], [False, True, 2, 3]],
+                             ids=["float", "bool"])
+    def test_permute_rejects_entries_that_are_not_ints(self, perm):
+        # both sort equal to range(4), but only an int can relabel a vertex
+        assert sorted(perm) == [0, 1, 2, 3]
+        with pytest.raises(GraphFormatError, match="not a permutation"):
+            permute(cycle_graph(4), perm)
+
 
 class TestGraph6:
     @pytest.mark.parametrize("g6", ["?", "@", "A_", "A?", "DQw", "D~{", "Bw"])

@@ -1,6 +1,7 @@
 """Enumeration, verification suites, records, and the supergraph search."""
 
 import collections
+import itertools
 import json
 import multiprocessing
 
@@ -10,11 +11,13 @@ import oracles
 from qpkit import families, harness, invariants
 from qpkit.canonical import canonical_form, canonical_key
 from qpkit.graphs import (
+    bit_members,
     complete_graph,
     cycle_graph,
     empty_graph,
     emit_graph6,
     from_edges,
+    induced_subgraph,
     parse_graph6,
 )
 from qpkit.harness import (
@@ -278,6 +281,23 @@ class TestTheoremSuites:
         assert json.loads(blob) == doc
 
 
+SEVEN_VERTEX_COUNTEREXAMPLES = [("FEhug", [1]), ("FEhuw", [1]), ("FEhvg", [1]),
+                                ("FEvdo", [0]), ("FEnew", [0]), ("FEnfo", [0])]
+
+
+def _oracle_class_orbits(g):
+    """The colour classes of every optimal colouring of g (oracle), and the
+    smallest image of each under every automorphism, found by trying all
+    n! permutations."""
+    edges = oracles.graph_edges(g)
+    edge_set = {frozenset(e) for e in edges}
+    auts = [p for p in itertools.permutations(range(g.n))
+            if all(frozenset((p[u], p[v])) in edge_set for u, v in edges)]
+    found = {frozenset(v for v, c in enumerate(vec) if c == k)
+             for vec in oracles.oracle_optimal_colorings(g.n, edges) for k in set(vec)}
+    return found, {min(sum(1 << p[v] for v in s) for p in auts) for s in found}
+
+
 class TestSurveys:
     def test_color_removal_structure(self):
         report = color_class_removal_survey(5)
@@ -287,14 +307,43 @@ class TestSurveys:
         assert f["classes_checked"] == f["classes_preserving"] + len(
             f["counterexamples"])
 
-    def test_color_removal_all_colorings_capped(self):
-        with pytest.raises(ValueError):
-            color_class_removal_survey(6, all_colorings=True)
+    def test_color_removal_findings_up_to_seven(self):
+        report = color_class_removal_survey(7)
+        f = report.findings
+        assert (f["graphs_quasiperfect"], f["classes_checked"],
+                f["classes_preserving"]) == (1192, 7261, 7255)
+        assert f["counterexamples"] == [{"graph6": g6, "class": cls}
+                                        for g6, cls in SEVEN_VERTEX_COUNTEREXAMPLES]
+        assert "all_colorings" not in report.config
 
-    def test_color_removal_all_colorings_small(self):
-        report = color_class_removal_survey(4, all_colorings=True)
-        assert report.findings["all_colorings"] is True
-        assert report.findings["classes_checked"] > 0
+    def test_color_removal_classes_match_the_oracle_up_to_six(self):
+        eng = RecognitionEngine(mode="pure")
+        accepted = classes = 0
+        for n in range(7):
+            for g in enumerate_graphs(n):
+                rows = harness._removal_item(g)
+                if rows is None:
+                    assert not eng.is_quasiperfect(g)
+                    continue
+                found, minima = _oracle_class_orbits(g)
+                assert [s for s, _ in rows] == sorted(minima)
+                assert all(ok for _, ok in rows)
+                accepted += 1
+                classes += len(found)
+        # every colour class of every optimal colouring, before orbit reduction
+        assert (accepted, classes) == (202, 1414)
+
+    @pytest.mark.parametrize("g6, cls", SEVEN_VERTEX_COUNTEREXAMPLES,
+                             ids=[g6 for g6, _ in SEVEN_VERTEX_COUNTEREXAMPLES])
+    def test_color_removal_counterexamples_at_seven(self, g6, cls):
+        g = parse_graph6(g6)
+        rows = harness._removal_item(g)
+        _, minima = _oracle_class_orbits(g)
+        assert [s for s, _ in rows] == sorted(minima)
+        assert [bit_members(s) for s, ok in rows if not ok] == [cls]
+        for s, ok in rows:
+            residue = induced_subgraph(g, g.vertex_mask & ~s)
+            assert ok == oracles.oracle_quasiperfect(residue.n, oracles.graph_edges(residue))
 
     def test_divergence_first_appears_at_six(self):
         assert reading_divergence_survey(5).findings["count"] == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
+from qpkit import recognition
 from qpkit.canonical import canonical_form, key_graph
 from qpkit.families import FamilySpec, odd_cycle_family, replicate
 from qpkit.graphs import (
@@ -165,8 +166,9 @@ class TestRecognition:
         with pytest.raises(RecognitionLimitError):
             eng.recognize(empty_graph(6))
 
-    def test_memo_capacity(self):
-        eng = RecognitionEngine(memo_capacity=1)
+    def test_memo_capacity(self, monkeypatch):
+        monkeypatch.setattr(recognition, "DEFAULT_MEMO_CAPACITY", 1)
+        eng = RecognitionEngine()
         with pytest.raises(MemoCapacityError):
             for n in range(5):
                 for g in enumerate_graphs(n):
