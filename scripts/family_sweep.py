@@ -40,7 +40,7 @@ def main() -> int:
         ap.error(f"cycle lengths must be odd and at least 5, got {bad}")
 
     # the largest graph of cycle length n has 2n vertices
-    engine = RecognitionEngine(mode="accelerated", limit=2 * max(args.cycles))
+    engine = RecognitionEngine(limit=2 * max(args.cycles))
     print(f"{'spec':<24} {'qp':<4} {'cert':<5} {'PK-strict':<10} "
           f"{'PK-residue':<11} {'PI-residue':<10}")
     rows = 0

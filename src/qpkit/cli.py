@@ -18,12 +18,11 @@ from .families import FamilySpec, c5_blowup_with_apex, family_prime_clique, \
 from .graphs import Graph, GraphFormatError, bit_members, emit_graph6, \
     parse_edge_list, parse_graph6
 from .harness import (
-    ALL_SUITES,
+    REPORT_SCHEMA,
+    SUITES,
+    SURVEYS,
     build_classification_record,
     minimal_qp_supergraph,
-    verify_perfect_subset,
-    verify_theorem1,
-    verify_theorem2,
 )
 from .invariants import PerfectionLimitError
 from .recognition import (
@@ -154,23 +153,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        suites = [verify_theorem1, verify_theorem2, verify_perfect_subset]
-    else:
-        suites = [ALL_SUITES[args.suite]]
+    suites = SUITES.values() if args.suite == "all" else [SUITES[args.suite]]
     reports = [fn(args.n_max, threads=args.threads) for fn in suites]
     if len(reports) == 1:
         payload = reports[0].to_json()
     else:
         payload = json.dumps(
-            {"schema": "qpreport-v1", "reports": [r.to_json_dict() for r in reports]},
+            {"schema": REPORT_SCHEMA, "reports": [r.to_json_dict() for r in reports]},
             indent=2) + "\n"
     _emit(payload, args.out)
     return 0 if all(r.passed for r in reports) else 2
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    report = ALL_SUITES[args.survey](args.n_max, threads=args.threads)
+    report = SURVEYS[args.survey](args.n_max, threads=args.threads)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -215,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", choices=("theorem1", "theorem2", "perfect-subset", "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("survey", help="run reporting-only sweeps")
-    p.add_argument("survey", choices=("color-removal", "reading-divergence"))
+    p.add_argument("survey", choices=tuple(SURVEYS))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)

@@ -18,7 +18,9 @@ queried class: a DAG with one node per isomorphism class (maximal
 sharing, as in hash-consing), plus the queried graph's canonical order.
 
 Verdicts and certificates are functions of the graph alone: neither
-depends on the mode or on what the engine recognized before.
+depends on what the engine recognized before.  Every verdict comes from
+the prime-set search; nothing the paper proves about accepted graphs is
+assumed.
 """
 
 from __future__ import annotations
@@ -42,11 +44,7 @@ from .graphs import (
     parse_graph6,
     permute,
 )
-from .invariants import (
-    chromatic_number,
-    clique_number,
-    maximum_cliques,
-)
+from .invariants import maximum_cliques
 
 DEFAULT_RECOGNITION_LIMIT = 12
 DEFAULT_MEMO_CAPACITY = 1_000_000
@@ -567,13 +565,14 @@ class RecognitionOutcome:
 
 
 class RecognitionEngine:
-    """Memoized quasiperfect recognizer.
+    """Memoized quasiperfect recognizer that applies the definition only.
 
-    mode 'pure' applies the definition only; 'accelerated' may reject
-    early when clique and chromatic numbers differ.  reading
-    'conjunctive' demands both prime branches; 'disjunctive' accepts
-    either one and exists only for divergence reporting, so it produces
-    no certificates.
+    reading 'conjunctive' demands both prime branches; 'disjunctive'
+    accepts either one and exists only for divergence reporting, so it
+    produces no certificates.  mode, 'pure' or 'accelerated', has no
+    effect: it is kept only because bench/workloads.py and
+    bench/make_expected.py pass it, and goes with the next change to
+    the benchmark.
     """
 
     def __init__(
@@ -587,7 +586,6 @@ class RecognitionEngine:
             raise ValueError(f"unknown mode {mode!r}")
         if reading not in ("conjunctive", "disjunctive"):
             raise ValueError(f"unknown reading {reading!r}")
-        self.mode = mode
         self.limit = limit
         self.reading = reading
         self._memo: dict[bytes, bool | Node] = {}
@@ -658,12 +656,6 @@ class RecognitionEngine:
         return None
 
     def _analyze(self, g: Graph) -> bool | Node:
-        if self.mode == "accelerated" and self.reading == "conjunctive":
-            # the early rejection leans on the conjunctive reading: the coloring
-            # argument rides the PI chain, so a one-sided acceptance under
-            # the disjunctive reading may well have unequal invariants
-            if clique_number(g) != chromatic_number(g):
-                return False
         pi = self._first_branch(g, prime_independent_sets(g))
         if self.reading == "disjunctive":
             return pi is not None or self._first_branch(g, prime_cliques(g)) is not None

@@ -83,7 +83,7 @@ def test_3_perfect_subset(capsys):
 
 def test_4_family_acceptance(capsys):
     t0 = time.perf_counter()
-    engine = RecognitionEngine(mode="accelerated", limit=14)
+    engine = RecognitionEngine(limit=14)
     checked = 0
     failures = []
     for n in (5, 7):
@@ -132,7 +132,7 @@ def test_5_blowup_counterexample(capsys):
 def test_6_c5_negative(capsys):
     t0 = time.perf_counter()
     g = cycle_graph(5)
-    out = RecognitionEngine(mode="pure").recognize(g)
+    out = RecognitionEngine().recognize(g)
     pis = list(prime_independent_sets(g))
     dt = time.perf_counter() - t0
     ok = (not out.quasiperfect) and pis == [] and dt < 1
@@ -143,7 +143,7 @@ def test_6_c5_negative(capsys):
 
 def test_7_certificate_soundness(capsys):
     t0 = time.perf_counter()
-    engine = RecognitionEngine(mode="pure")
+    engine = RecognitionEngine()
     accepted = 0
     failures = 0
     for n in range(7):

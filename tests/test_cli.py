@@ -182,7 +182,7 @@ class TestVerify:
         def failing(n_max, *, threads):
             return SuiteReport("theorem2", n_max, 1, ["?"], {"threads": threads})
 
-        monkeypatch.setattr(cli, "verify_theorem2", failing)
+        monkeypatch.setitem(cli.SUITES, "theorem2", failing)
         assert main(["verify", "all", "--n-max", "3"]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert [r["violations"] for r in doc["reports"]] == [[], ["?"], []]

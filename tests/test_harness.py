@@ -317,7 +317,7 @@ class TestSurveys:
         assert "all_colorings" not in report.config
 
     def test_color_removal_classes_match_the_oracle_up_to_six(self):
-        eng = RecognitionEngine(mode="pure")
+        eng = RecognitionEngine()
         accepted = classes = 0
         for n in range(7):
             for g in enumerate_graphs(n):

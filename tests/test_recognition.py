@@ -116,7 +116,7 @@ class TestRecognition:
         assert RecognitionEngine().recognize(empty_graph(1)).quasiperfect
 
     def test_c5_pure_reject(self):
-        out = RecognitionEngine(mode="pure").recognize(cycle_graph(5))
+        out = RecognitionEngine().recognize(cycle_graph(5))
         assert not out.quasiperfect
         assert out.certificate is None
 
@@ -131,17 +131,21 @@ class TestRecognition:
             for g in enumerate_graphs(n):
                 edges = oracles.graph_edges(g)
                 want = oracles.oracle_quasiperfect(n, edges)
-                assert RecognitionEngine(mode="pure").recognize(g).quasiperfect == want, edges
+                assert RecognitionEngine().recognize(g).quasiperfect == want, edges
 
-    def test_pure_equals_accelerated(self):
-        pure = RecognitionEngine(mode="pure")
-        fast = RecognitionEngine(mode="accelerated")
-        for n in range(7):
+    def test_mode_has_no_effect(self):
+        for n in range(8):
             for g in enumerate_graphs(n):
-                assert pure.is_quasiperfect(g) == fast.is_quasiperfect(g)
+                got = [(o.quasiperfect, o.certificate, o.stats.nodes_explored,
+                        o.stats.memo_hits)
+                       for m in ("accelerated", "pure")
+                       for o in [RecognitionEngine(mode=m).recognize(g)]]
+                assert got[0] == got[1], emit_graph6(g)
+        with pytest.raises(ValueError):
+            RecognitionEngine(mode="fast")
 
-    def test_accelerated_certificates_verify(self):
-        eng = RecognitionEngine(mode="accelerated")
+    def test_certificates_verify_up_to_six(self):
+        eng = RecognitionEngine()
         for n in range(7):
             for g in enumerate_graphs(n):
                 out = eng.recognize(g)
@@ -605,13 +609,12 @@ class TestCertificateDeterminism:
                 out[i] = certificate_to_json(graphs[i], res.certificate)
         return out
 
-    def test_independent_of_call_order_and_mode(self, rng):
+    def test_independent_of_call_order(self, rng):
         graphs = [g for n in range(7) for g in enumerate_graphs(n)]
         idx = range(len(graphs))
         shared = self._texts(RecognitionEngine(), graphs, idx)
         assert len(shared) == 202
         assert self._texts(RecognitionEngine(), graphs, reversed(idx)) == shared
-        assert self._texts(RecognitionEngine(mode="pure"), graphs, idx) == shared
         warmed = RecognitionEngine()  # every class first reached through another labeling
         for g in reversed(graphs):
             warmed.recognize(permute(g, rng.sample(range(g.n), g.n)))
@@ -715,7 +718,7 @@ class TestComplementDuality:
                 assert is_prime_clique(cg, pi)
 
     def test_certificate_transposes(self):
-        eng = RecognitionEngine(mode="pure")
+        eng = RecognitionEngine()
         count = 0
         for n in range(6):
             for g in enumerate_graphs(n):
