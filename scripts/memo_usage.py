@@ -7,8 +7,9 @@ For example, ``memo_usage.py verify theorem2 --n-max 8``.  The command's
 own output goes to standard output.  After it, one line per bounded
 ``functools.lru_cache`` in the qpkit modules (its ``cache_info()``), one
 each for the set of codes the labeling search stops at and the record of
-certificate roots that verification and serialization reuse (size and
-bound), and the process's peak resident set size go to standard error.
+certificate roots, which recognition makes and verification and
+serialization reuse (size and bound), and the process's peak resident set
+size go to standard error.
 The exit status is the command's, or 1 when a memo has reached its
 maxsize: a memo that evicts during a sweep, or a set that stops growing,
 does not fit the sweep it serves.

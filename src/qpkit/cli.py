@@ -94,8 +94,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     lines = []
     for idx, g in enumerate(graphs):
         cert_ref = None
-        outcome = engine.recognize(g)
-        if outcome.quasiperfect and args.cert_out:
+        outcome = engine.recognize(g) if args.cert_out else None
+        if outcome is not None and outcome.quasiperfect:
             stem = Path(args.cert_out)
             path = stem if len(graphs) == 1 else stem.with_name(
                 f"{stem.stem}-{idx}{stem.suffix}")

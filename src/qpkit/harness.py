@@ -78,14 +78,16 @@ def build_classification_record(
     """Classify one graph; aborts loudly if a record would be inconsistent.
 
     The verdict comes from the definition alone, so an accepted graph with
-    omega != chi here would contradict Theorem 1.
+    omega != chi here would contradict Theorem 1.  The verdict is asked
+    first, so a graph past the engine's limit raises before any invariant
+    is computed.
     """
+    quasi = engine.is_quasiperfect(g)
     omega = clique_number(g)
     alpha = independence_number(g)
     chi = chromatic_number(g)
     checker = checker or PerfectionChecker()
     perfect = checker.is_perfect(g) if g.n <= checker.limit else None
-    quasi = engine.is_quasiperfect(g)
     if quasi and omega != chi:
         raise ClassificationInvariantError(
             f"quasiperfect graph with omega={omega} chi={chi}: {emit_graph6(g)}")

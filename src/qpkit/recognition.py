@@ -26,11 +26,11 @@ assumed.
 from __future__ import annotations
 
 import json
-import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .canonical import canonical_form, canonical_key, key_graph
 from .graphs import (
@@ -172,11 +172,15 @@ class QpCertificate:
     pi_child, pk_child): a prime independent set and a prime clique as
     masks over the graph that key decodes to, and the keys of the two
     residues.  The empty graph has key "?" and no node.
+
+    A certificate from RecognitionEngine.recognize holds its nodes in a
+    read-only mapping, which the engine may hand out again for the same
+    root; copy it with dict(cert.nodes) to build a variant.
     """
 
     key: bytes
     order: tuple[int, ...]
-    nodes: dict[bytes, Node]
+    nodes: Mapping[bytes, Node]
 
 
 @dataclass(frozen=True)
@@ -264,53 +268,29 @@ def _verify_node(key: bytes, node: Node) -> CertificateCheck:
 
 @dataclass(slots=True)
 class _RootRecord:
-    """A private copy of one certificate's nodes, and what is known of them."""
+    """The read-only nodes the engine hands out for one root, and what is known of them."""
 
-    nodes: dict[bytes, Node]
-    verified: bool = False  # verify_certificate walked exactly these nodes and accepted
+    nodes: Mapping[bytes, Node]
+    verified: bool = False  # verify_certificate walked these nodes and accepted
     text: str | None = None  # the "nodes" member as certificate_to_json writes it
 
 
-# Root key -> None after the root's first certificate, then the _RootRecord
-# of a later one.  A root met once, as most dual certificates of a sweep
-# are, costs one key; the record stops taking new roots at _ROOT_RECORDS_MAX.
+# Root key -> None after the root's first materialization, then the
+# _RootRecord of its second, whose nodes every later one reuses.  Only
+# RecognitionEngine._materialize assigns it.  A root met once, as most
+# roots of a sweep are, costs one key; it stops taking new roots at
+# _ROOT_RECORDS_MAX.
 _root_records: dict[bytes, _RootRecord | None] = {}
 _ROOT_RECORDS_MAX = 1 << 16
 
 
-def _same_nodes(record: _RootRecord, nodes: dict[bytes, Node]) -> bool:
-    """nodes holds the record's node objects under the record's keys, and no more.
+def _record_of(cert: QpCertificate) -> _RootRecord | None:
+    """The root record whose nodes mapping is cert.nodes itself, or None.
 
-    Identity, not equality: an equal node may still differ in type, as
-    (1.0, ...) does from (1, ...), and be malformed where the other is not.
+    The key's type is tested first: a bytearray key is unhashable.
     """
-    snap = record.nodes
-    return len(nodes) == len(snap) and all(map(operator.is_, map(nodes.get, snap), snap.values()))
-
-
-def _root_record(cert: QpCertificate) -> _RootRecord | None:
-    """The record of cert's root, describing cert.nodes; None when there is none.
-
-    The first certificate of a root only stores its key.  A later one
-    whose nodes the record does not hold replaces the record with a fresh
-    copy of them, unless some node is not an exact tuple: a list, or a
-    tuple subclass, could change after the copy is taken.  Only bytes
-    keys are recorded; a hand-built key of another type gets None.
-    """
-    if type(cert.key) is not bytes:
-        return None
-    if cert.key not in _root_records:
-        if len(_root_records) < _ROOT_RECORDS_MAX:
-            _root_records[cert.key] = None
-        return None
-    record = _root_records[cert.key]
-    if record is not None and _same_nodes(record, cert.nodes):
-        return record
-    snap = dict(cert.nodes)
-    if not all(type(node) is tuple for node in snap.values()):
-        return None
-    record = _root_records[cert.key] = _RootRecord(snap)
-    return record
+    record = _root_records.get(cert.key) if type(cert.key) is bytes else None
+    return record if record is not None and record.nodes is cert.nodes else None
 
 
 def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
@@ -327,13 +307,10 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     an int but cannot relabel a vertex.
 
     The order and the root are checked on every call.  The walk over the
-    DAG is skipped when a certificate of the same root with exactly these
-    node objects (the same keys, each holding the identical tuple) was
-    walked and accepted before.  That is sound because the walk reads only
-    the root key and the nodes, the root record holds its own copy of the
-    nodes dict, so editing the caller's dict cannot reach it, and a tuple
-    of ints and bytes cannot change; lists and tuple subclasses are never
-    recorded.  A rejected certificate never marks a record accepted.
+    DAG is skipped when cert.nodes is its root record's own mapping and a
+    walk over it accepted before: the mapping is read-only, and only
+    RecognitionEngine._materialize records it.  Any other mapping is
+    walked in full.
 
     The root key is not relabeled to confirm it is canonical: the proof
     does not need it, since the order must map the root's graph onto g
@@ -349,8 +326,8 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         return _fail("undecodable-key", cert.key)
     if root.n != g.n or permute(root, order) != g:
         return _fail("root-mismatch")
-    record = _root_records.get(cert.key)
-    if record is not None and record.verified and _same_nodes(record, cert.nodes):
+    record = _record_of(cert)
+    if record is not None and record.verified:
         return CertificateCheck(True)
     seen: set[bytes] = set()
     stack = [cert.key]
@@ -371,7 +348,6 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         stack += node[2:]
     if len(seen) != len(cert.nodes):
         return _fail("unreachable-node", next(k for k in cert.nodes if k not in seen))
-    record = _root_record(cert)
     if record is not None:
         record.verified = True
     return CertificateCheck(True)
@@ -461,12 +437,13 @@ def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
     g itself is not stored: it is the root key's graph with slot p moved
     to vertex order[p].  The text is json.dumps of the document with
     separators (",", ":") and sorted keys, plus a newline.  The "nodes"
-    member is written once per root record and reused while a later
-    certificate of that root holds the same node objects (see
-    verify_certificate); "key" and "order" are written on every call.
+    member is written once per root record and reused for every
+    certificate that holds the record's own read-only mapping, which only
+    RecognitionEngine._materialize records; any other mapping is written
+    anew.  "key" and "order" are written on every call.
     """
     key_text = json.dumps(cert.key.decode("ascii"))
-    record = _root_record(cert)
+    record = _record_of(cert)
     nodes_text = record.text if record is not None else None
     if nodes_text is None:
         nodes_text = json.dumps(
@@ -667,8 +644,18 @@ class RecognitionEngine:
         return pi[0], pk[0], pi[1], pk[1]
 
     def _materialize(self, g: Graph) -> QpCertificate:
-        """The certificate of an accepted g: its order and the memo nodes it reaches."""
+        """The certificate of an accepted g: its order and the memo nodes it reaches.
+
+        The nodes are a read-only view of a dict nothing else holds.  A
+        root's first materialization leaves its key in _root_records, its
+        second records its view, and every later one hands out that view
+        without walking the memo.  Certificates depend on the class alone,
+        so the view serves every engine.
+        """
         key, order = canonical_form(g)
+        record = _root_records.get(key)
+        if record is not None:
+            return QpCertificate(key, order, record.nodes)
         nodes: dict[bytes, Node] = {}
         stack = [key]
         while stack:
@@ -677,4 +664,9 @@ class RecognitionEngine:
                 continue
             nodes[k] = self._memo[k]
             stack += nodes[k][2:]
-        return QpCertificate(key, order, nodes)
+        view = MappingProxyType(nodes)
+        if key in _root_records:
+            _root_records[key] = _RootRecord(view)
+        elif len(_root_records) < _ROOT_RECORDS_MAX:
+            _root_records[key] = None
+        return QpCertificate(key, order, view)

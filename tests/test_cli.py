@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qpkit import canonical, cli, invariants, recognition
+from qpkit import canonical, cli, harness, invariants, recognition
 from qpkit.cli import main
 from qpkit.graphs import cycle_graph, emit_graph6, empty_graph
 from qpkit.harness import ALL_SUITES, SuiteReport
@@ -81,6 +81,18 @@ class TestClassify:
         monkeypatch.setenv("QPKIT_LIMIT", "3")
         code, _ = run(["classify", "-"], C5, monkeypatch, capsys)
         assert code == 3
+
+    def test_limit_exits_3_before_any_invariant(self, monkeypatch, capsys):
+        monkeypatch.setenv("QPKIT_LIMIT", "3")
+        monkeypatch.setattr(harness, "chromatic_number", None)  # fails if called
+        code, _ = run(["classify", "-"], C5, monkeypatch, capsys)
+        assert code == 3
+
+    def test_no_certificate_without_cert_out(self, monkeypatch, capsys):
+        monkeypatch.setattr(recognition, "_root_records", {})
+        code, out = run(["classify", "-"], "Ehf?\nEhf?\n", monkeypatch, capsys)
+        assert code == 0 and all(json.loads(ln)["quasiperfect"] for ln in out.splitlines())
+        assert recognition._root_records == {}
 
     def test_limit_env_raises_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("QPKIT_LIMIT", "soon")

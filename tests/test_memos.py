@@ -17,6 +17,7 @@ from qpkit.graphs import (
     from_edges,
     mask_of,
     parse_graph6,
+    permute,
 )
 from qpkit.harness import enumerate_graphs
 from qpkit.invariants import (
@@ -133,19 +134,45 @@ def _accepted_up_to(n_max):
 
 
 def test_root_records_match_recomputation(records):
-    pairs = _accepted_up_to(6)
-    assert len(pairs) == 202
-    for g, cert in pairs:
+    first = _accepted_up_to(6)
+    assert len(first) == 202
+    assert records == dict.fromkeys((cert.key for _, cert in first), None)
+    pairs = _accepted_up_to(6)  # each root's second materialization records it
+    for (g, cert), (_, earlier) in zip(pairs, first):
+        record = records[cert.key]
+        assert record.nodes is cert.nodes and cert.nodes == earlier.nodes
         doc = {"schema": "qpcert-v2", "key": cert.key.decode(), "order": list(cert.order),
                "nodes": {k.decode(): [bit_members(pi), bit_members(pk), a.decode(), b.decode()]
                          for k, (pi, pk, a, b) in cert.nodes.items()}}
         check, text = _cold(g, cert)
         assert check and text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-        for _ in range(3):  # the third call of each is answered from the record
+        for _ in range(3):  # the second call of each is answered from the record
             assert verify_certificate(g, cert) == check
             assert certificate_to_json(g, cert) == text
-        record = records[cert.key]
         assert record.verified and record.text is not None
+
+
+def test_engine_certificate_nodes_are_read_only(records):
+    cert = RecognitionEngine().recognize(parse_graph6("Ehf?")).certificate
+    node = cert.nodes[cert.key]
+    with pytest.raises(TypeError):
+        cert.nodes[cert.key] = (0, *node[1:])
+    copy = dict(cert.nodes)
+    copy[cert.key] = (0, *node[1:])
+    assert cert.nodes[cert.key] is node
+
+
+def test_a_class_met_again_shares_one_mapping(records):
+    g = parse_graph6("Ehf?")
+    engine = RecognitionEngine()
+    first = engine.recognize(g).certificate
+    assert records == {first.key: None}
+    copies = [g, permute(g, [5, 4, 3, 2, 1, 0])]
+    second, third = (engine.recognize(h).certificate for h in copies)
+    assert records[first.key].nodes is second.nodes is third.nodes
+    assert second.nodes == first.nodes and second.nodes is not first.nodes
+    for h, cert in zip(copies, (second, third)):
+        assert verify_certificate(h, cert)
 
 
 def _largest():
@@ -153,59 +180,84 @@ def _largest():
     return max(_accepted_up_to(6), key=lambda pair: len(pair[1].nodes))
 
 
-def _recorded(records, g, cert):
-    """g and cert, after enough calls that cert's root record is verified and written."""
-    for _ in range(2):
-        assert verify_certificate(g, cert)
-        certificate_to_json(g, cert)
-    assert records[cert.key].verified and records[cert.key].text is not None
+def _recorded(records):
+    """_largest's class and its certificate from the record, verified and written."""
+    g, _ = _largest()
+    cert = RecognitionEngine().recognize(g).certificate
+    assert verify_certificate(g, cert)
+    certificate_to_json(g, cert)
+    record = records[cert.key]
+    assert record.nodes is cert.nodes and record.verified and record.text is not None
     return g, cert
 
 
-def test_a_node_replaced_in_place_is_checked_anew(records):
-    g, cert = _recorded(records, *_largest())
+def _float_root(cert):
     pi, pk, pi_child, pk_child = cert.nodes[cert.key]
-    cert.nodes[cert.key] = (pi | pk, pk, pi_child, pk_child)
-    check, text = _cold(g, cert)
-    assert (check.ok, check.node) == (False, cert.key)
-    for _ in range(3):
-        assert _both(g, cert) == (check, text)
+    return replace(cert, nodes={**cert.nodes, cert.key: (float(pi), pk, pi_child, pk_child)})
 
 
-def test_equal_or_larger_node_sets_never_match(records):
-    g, cert = _recorded(records, *_largest())
+def _tampered_root(cert):
     pi, pk, pi_child, pk_child = cert.nodes[cert.key]
-    floats = {**cert.nodes, cert.key: (float(pi), pk, pi_child, pk_child)}
-    assert floats == cert.nodes
-    assert b"D~{" not in cert.nodes
-    extra = {**cert.nodes, b"D~{": (1, 31, b"C~", b"?")}  # K5's node
-    for nodes, reason, node in ((extra, "unreachable-node", b"D~{"),
-                                (floats, "malformed-node", cert.key)):
-        _recorded(records, g, cert)
-        variant = replace(cert, nodes=nodes)
-        check, text = _cold(g, variant)
-        assert (check.reason, check.node) == (reason, node)
+    return replace(cert, nodes={**cert.nodes, cert.key: (pi | pk, pk, pi_child, pk_child)})
+
+
+# caller-made certificates of a recorded root: how each is built, and the
+# (reason, node) verify_certificate gives it, "root" standing for its key
+CALLER_MADE = {
+    "copy": (lambda c: replace(c, nodes=dict(c.nodes)), None, None),
+    "lists": (lambda c: replace(c, nodes={k: list(v) for k, v in c.nodes.items()}), None, None),
+    "tampered": (_tampered_root, "pi-vertex-outside-maximum-cliques", "root"),
+    "float": (_float_root, "malformed-node", "root"),
+    "extra-node": (lambda c: replace(c, nodes={**c.nodes, b"D~{": (1, 31, b"C~", b"?")}),
+                   "unreachable-node", b"D~{"),  # K5's node
+    "bytearray-key": (lambda c: replace(c, key=bytearray(c.key)), "undecodable-key", "root"),
+}
+
+
+def _counted(monkeypatch, name):
+    """Replace recognition.<name> with a wrapper; returns its call count list."""
+    calls = [0]
+    inner = getattr(recognition, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(recognition, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("variant", list(CALLER_MADE))
+def test_caller_made_nodes_are_walked_and_written_anew(records, monkeypatch, variant):
+    g, cert = _recorded(records)
+    build, reason, node = CALLER_MADE[variant]
+    other = build(cert)
+    walks, writes = _counted(monkeypatch, "_well_formed"), _counted(monkeypatch, "bit_members")
+    expected = (reason, cert.key if node == "root" else node)
+    for edited in (False, True):
+        if edited:  # the caller's own mapping, changed in place after use
+            if not isinstance(other.nodes, dict):
+                break
+            root = other.nodes[other.key]
+            if isinstance(root, list):
+                root[0] = 0
+            else:
+                other.nodes[other.key] = (0, *root[1:])
+            expected = ("empty-prime-independent-set", cert.key)
+        cold = _cold(g, other)
+        assert (cold[0].reason, cold[0].node) == expected
         for _ in range(3):
-            assert _both(g, variant) == (check, text)
-
-
-def test_list_valued_nodes_are_never_recorded(records):
-    g, cert = _recorded(records, *_largest())
-    lists = replace(cert, nodes={k: list(node) for k, node in cert.nodes.items()})
-    check, text = _cold(g, lists)
-    assert check
-    for _ in range(3):
-        assert _both(g, lists) == (check, text)
-    assert not any(type(node) is list for node in records[cert.key].nodes.values())
-    lists.nodes[cert.key][0] = 0  # in place: the same list objects, another node
-    check, text = _cold(g, lists)
-    assert (check.reason, check.node) == ("empty-prime-independent-set", cert.key)
-    for _ in range(3):
-        assert _both(g, lists) == (check, text)
+            before = walks[0], writes[0]
+            assert _both(g, other) == cold
+            assert walks[0] > before[0] or reason == "undecodable-key"
+            assert writes[0] > before[1]
+    record = records[cert.key]
+    assert len(records) == 202  # no caller-made certificate adds a root
+    assert record.nodes is cert.nodes and record.verified and record.text is not None
 
 
 def test_a_certificate_read_back_matches(records):
-    g, cert = _recorded(records, *_largest())
+    g, cert = _recorded(records)
     text = certificate_to_json(g, cert)
     g2, cert2 = certificate_from_json(text)
     assert g2 == g and cert2.nodes == cert.nodes
@@ -214,13 +266,3 @@ def test_a_certificate_read_back_matches(records):
         for h, c in ((g2, cert2), (g, cert)):
             assert verify_certificate(h, c)
             assert certificate_to_json(h, c) == text
-
-
-def test_keys_other_than_bytes_are_never_recorded(records):
-    g, cert = _recorded(records, *_largest())
-    text = certificate_to_json(g, cert)
-    mutable = replace(cert, key=bytearray(cert.key))  # unhashable, so never a record key
-    for _ in range(3):
-        assert certificate_to_json(g, mutable) == text
-        assert verify_certificate(g, mutable).reason == "undecodable-key"
-    assert all(type(key) is bytes for key in records)
