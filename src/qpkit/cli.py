@@ -240,10 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except _LIMIT_ERRORS as exc:
         print(f"qpkit: {exc}", file=sys.stderr)
         return 3
-    except (GraphFormatError, ValueError) as exc:
-        print(f"qpkit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qpkit: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,8 @@ from .recognition import (
     RecognitionLimitError,
     complement_certificate,
     is_prime_clique,
+    prime_cliques,
+    prime_independent_sets,
     verify_certificate,
 )
 
@@ -140,7 +142,8 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # enumeration
 
-_LEVELS: list[list[Graph]] = []
+# one sorted list of canonical keys per n
+_LEVELS: list[list[bytes]] = []
 
 
 def _subset_orbit_minima(n: int, generators: list[list[int]]) -> list[int]:
@@ -176,39 +179,38 @@ def _grow_levels(n: int) -> None:
     while len(_LEVELS) <= n:
         k = len(_LEVELS)
         if k == 0:
-            _LEVELS.append([Graph(0, ())])
+            _LEVELS.append([canonical_key(Graph(0, ()))])
             continue
-        reps: dict[bytes, Graph] = {}
-        for parent in _LEVELS[k - 1]:
+        keys: set[bytes] = set()
+        for parent_key in _LEVELS[k - 1]:
+            parent = key_graph(parent_key)
             for mask in _subset_orbit_minima(k - 1, automorphism_generators(parent)):
                 child = add_vertex(parent, mask)
                 if all(row.bit_count() <= mask.bit_count() for row in child.adj):
-                    reps.setdefault(canonical_key(child), child)
-        ranked = sorted(reps.items(), key=lambda item: (item[1].m, item[0]))
-        _LEVELS.append([g for _, g in ranked])
+                    keys.add(canonical_key(child))
+        _LEVELS.append(sorted(keys, key=lambda key: (key_graph(key).m, key)))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
     """All graphs on exactly n vertices, one per isomorphism class.
 
+    Each class is the graph its canonical key decodes to, so the list
+    depends on the classes alone, not on how enumeration reached them.
     Classes are grown one vertex at a time by canonical augmentation
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-    1998).  The (n-1)-vertex classes are taken in order, and each class P
-    gains a new vertex adjacent to one subset per orbit of Aut(P) on
-    vertex subsets: the smallest mask of each orbit, in ascending order.
-    A child whose new vertex is not of maximum degree is dropped
-    unlabeled, because deleting a vertex of higher degree leaves a class
-    with fewer edges, which comes before P.  The other children are
-    deduplicated on canonical keys, the first one kept, and sorted by
-    edge count then key.  Each class is thus represented by its first
-    extension (parent index, then mask), exactly as if every neighborhood
-    of every parent were tried.  The counts for
-    n = 0..8 are 1, 1, 2, 4, 11, 34, 156, 1044 and 12346 (OEIS A000088).
+    1998).  Each class P on n-1 vertices gains a new vertex adjacent to
+    one subset per orbit of Aut(P) on vertex subsets: the smallest mask
+    of each orbit.  A child whose new vertex is not of maximum degree is
+    dropped unlabeled, because deleting a vertex of higher degree leaves
+    a class with fewer edges, which comes before P.  The keys of the
+    other children are collected and sorted by edge count then key.  The
+    counts for n = 0..8 are 1, 1, 2, 4, 11, 34, 156, 1044 and 12346
+    (OEIS A000088).
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"built-in enumeration covers 0..{ENUMERATION_LIMIT}, got {n}")
     _grow_levels(n)
-    return list(_LEVELS[n])
+    return [key_graph(key) for key in _LEVELS[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +219,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
 # report configs keep "mode": "pure", the engine's only behaviour, so that
 # payloads stay byte-identical
 @functools.cache
-def _engine(reading: str) -> RecognitionEngine:
-    return RecognitionEngine(reading=reading)
+def _engine() -> RecognitionEngine:
+    return RecognitionEngine()
 
 
 def _sweep(n_max: int, item, threads: int) -> tuple[list[Graph], list]:
@@ -256,7 +258,7 @@ def _assertion(suite: str, n_max: int, item, threads: int, config: dict) -> Suit
 
 
 def _pure_quasiperfect(g: Graph) -> bool:
-    return _engine("conjunctive").is_quasiperfect(g)
+    return _engine().is_quasiperfect(g)
 
 
 def _theorem1_item(g: Graph) -> bool:
@@ -264,20 +266,14 @@ def _theorem1_item(g: Graph) -> bool:
 
 
 def _theorem2_item(g: Graph) -> bool:
-    """Verdicts of g and its complement agree, and the dual certificate verifies.
-
-    The complement's verdict is asked of the complement of the graph g's
-    key decodes to: the class is the same, and it is the graph whose
-    labeling complement_certificate reuses, so the class is labeled once.
-    The dual certificate is verified against complement(g) itself.
-    """
-    eng = _engine("conjunctive")
+    """Verdicts of g and its complement agree, and the dual certificate verifies."""
+    eng = _engine()
     out = eng.recognize(g)
-    dual_rep = complement(key_graph(canonical_key(g)))
-    if out.quasiperfect != eng.is_quasiperfect(dual_rep):
+    dual = complement(g)
+    if out.quasiperfect != eng.is_quasiperfect(dual):
         return False
     return not out.quasiperfect or bool(
-        verify_certificate(complement(g), complement_certificate(out.certificate)))
+        verify_certificate(dual, complement_certificate(out.certificate)))
 
 
 def _perfect_subset_item(g: Graph) -> bool:
@@ -301,7 +297,7 @@ def _removal_item(g: Graph) -> list[tuple[int, bool]] | None:
     passes that test, and its residue is asked of the engine.  Returns
     (mask, accepted) per kept orbit, or None if g is rejected.
     """
-    eng = _engine("conjunctive")
+    eng = _engine()
     if not eng.is_quasiperfect(g):
         return None
     chi = chromatic_number(g)
@@ -314,8 +310,24 @@ def _removal_item(g: Graph) -> list[tuple[int, bool]] | None:
     return results
 
 
+@functools.cache
+def _either_side(key: bytes) -> bool:
+    """The either-side reading of the definition, for the class of key.
+
+    K0 is accepted; any other class is accepted when some prime
+    independent set or some prime clique leaves a residue this reading
+    accepts.  It yields no certificates.
+    """
+    g = key_graph(key)
+    if g.n == 0:
+        return True
+    full = g.vertex_mask
+    return any(_either_side(canonical_key(induced_subgraph(g, full & ~s)))
+               for sets in (prime_independent_sets(g), prime_cliques(g)) for s in sets)
+
+
 def _divergence_item(g: Graph) -> tuple[bool, bool]:
-    return _pure_quasiperfect(g), _engine("disjunctive").is_quasiperfect(g)
+    return _pure_quasiperfect(g), _either_side(canonical_key(g))
 
 
 # ---------------------------------------------------------------------------

@@ -544,12 +544,9 @@ class RecognitionOutcome:
 class RecognitionEngine:
     """Memoized quasiperfect recognizer that applies the definition only.
 
-    reading 'conjunctive' demands both prime branches; 'disjunctive'
-    accepts either one and exists only for divergence reporting, so it
-    produces no certificates.  mode, 'pure' or 'accelerated', has no
-    effect: it is kept only because bench/workloads.py and
-    bench/make_expected.py pass it, and goes with the next change to
-    the benchmark.
+    mode, 'pure' or 'accelerated', has no effect: it is kept only
+    because bench/workloads.py and bench/make_expected.py pass it, and
+    goes with the next change to the benchmark.
     """
 
     def __init__(
@@ -557,14 +554,10 @@ class RecognitionEngine:
         *,
         mode: str = "accelerated",
         limit: int = DEFAULT_RECOGNITION_LIMIT,
-        reading: str = "conjunctive",
     ) -> None:
         if mode not in ("pure", "accelerated"):
             raise ValueError(f"unknown mode {mode!r}")
-        if reading not in ("conjunctive", "disjunctive"):
-            raise ValueError(f"unknown reading {reading!r}")
         self.limit = limit
-        self.reading = reading
         self._memo: dict[bytes, bool | Node] = {}
         self._nodes = 0
         self._hits = 0
@@ -575,9 +568,7 @@ class RecognitionEngine:
         nodes0, hits0 = self._nodes, self._hits
         t0 = time.perf_counter()
         verdict = self._verdict(g)
-        cert = None
-        if verdict and self.reading == "conjunctive":
-            cert = self._materialize(g)
+        cert = self._materialize(g) if verdict else None
         stats = RecognitionStats(
             nodes_explored=self._nodes - nodes0,
             memo_hits=self._hits - hits0,
@@ -601,9 +592,8 @@ class RecognitionEngine:
 
         A miss analyzes the graph the key decodes to, never g itself, so
         the entry depends on the class alone: False when rejected, True
-        when accepted under the disjunctive reading (and for K0), and the
-        certificate node (pi, pk, pi_child, pk_child) when accepted under
-        the conjunctive reading.
+        for K0, and the certificate node (pi, pk, pi_child, pk_child)
+        when accepted.
         """
         if g.n == 0:
             return _K0_KEY, True
@@ -634,8 +624,6 @@ class RecognitionEngine:
 
     def _analyze(self, g: Graph) -> bool | Node:
         pi = self._first_branch(g, prime_independent_sets(g))
-        if self.reading == "disjunctive":
-            return pi is not None or self._first_branch(g, prime_cliques(g)) is not None
         if pi is None:
             return False
         pk = self._first_branch(g, prime_cliques(g))

@@ -268,26 +268,25 @@ def enumerate_classes_by_permutation(n):
 
 
 def enumerate_by_extension(n_max):
-    """Levels 0..n_max of the enumerator as it was before canonical
-    augmentation: every neighborhood of a new vertex on every class of the
-    level below, the first candidate per canonical key kept, sorted by
-    (m, key).
+    """Canonical keys of levels 0..n_max, as the enumerator found them
+    before canonical augmentation: every neighborhood of a new vertex on
+    the graph each key of the level below decodes to, the keys collected
+    and sorted by (m, key).
 
     Unlike the oracles above it uses the package's own extension step and
-    keys, because it pins the enumerator's representatives and order.
-    Labels 11,291 graphs up to n = 7."""
-    from qpkit.canonical import canonical_key
+    keys, because it pins the enumerator's order.  Labels 11,291 graphs
+    up to n = 7."""
+    from qpkit.canonical import canonical_key, key_graph
     from qpkit.graphs import Graph, add_vertex
 
-    levels = [[Graph(0, ())]]
+    levels = [[canonical_key(Graph(0, ()))]]
     for k in range(1, n_max + 1):
-        reps = {}
-        for parent in levels[-1]:
+        keys = set()
+        for parent_key in levels[-1]:
+            parent = key_graph(parent_key)
             for mask in range(1 << (k - 1)):
-                g = add_vertex(parent, mask)
-                reps.setdefault(canonical_key(g), g)
-        ranked = sorted(reps.items(), key=lambda item: (item[1].m, item[0]))
-        levels.append([g for _, g in ranked])
+                keys.add(canonical_key(add_vertex(parent, mask)))
+        levels.append(sorted(keys, key=lambda key: (key_graph(key).m, key)))
     return levels
 
 

@@ -219,13 +219,14 @@ class TestAutomorphisms:
         # sha256 over the orbit minima on vertex subsets of the group the
         # generators of every class with n <= 7 generate, in enumeration
         # order, one JSON list per line: the enumerator extends one subset
-        # per orbit.  The generator lists themselves may change with the
+        # per orbit.  The minima are taken on the graph each class's key
+        # decodes to.  The generator lists themselves may change with the
         # search; the orbits they generate may not
         lines = [json.dumps(_subset_orbit_minima(g.n, automorphism_generators(g))).encode()
                  + b"\n" for n in range(8) for g in _all_classes(n)]
         assert len(lines) == 1253
         assert hashlib.sha256(b"".join(lines)).hexdigest() == (
-            "64d692bdaa78791696613d503d6b104a41daa90227d7eded960e127c52b75b8e")
+            "c4fad3af18e40670b976b1fd20819727d9851cd59f49fefbc68b934028ed6c67")
 
     def test_at_most_n_minus_one_generators(self):
         # after an automorphism the search backjumps past the subtrees it

@@ -1,6 +1,7 @@
 """Enumeration, verification suites, records, and the supergraph search."""
 
 import collections
+import functools
 import itertools
 import json
 import multiprocessing
@@ -9,7 +10,7 @@ import pytest
 
 import oracles
 from qpkit import families, harness, invariants
-from qpkit.canonical import canonical_form, canonical_key
+from qpkit.canonical import canonical_form, canonical_key, key_graph
 from qpkit.graphs import (
     bit_members,
     complete_graph,
@@ -43,6 +44,8 @@ from qpkit.recognition import (
 
 # OEIS A000088
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+# perfect graphs, OEIS A052431
+KNOWN_PERFECT_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 33, 6: 148, 7: 906}
 
 
 class TestEnumeration:
@@ -51,12 +54,17 @@ class TestEnumeration:
         assert len(enumerate_graphs(n)) == KNOWN_CLASS_COUNTS[n]
 
     def test_same_sequence_as_extending_every_candidate(self):
-        # canonical augmentation keeps the first candidate of each class,
-        # so its representatives and their order are those of the old loop
+        # canonical augmentation reaches every class, in the old loop's order
         reference = oracles.enumerate_by_extension(7)
         for n in range(8):
-            assert [emit_graph6(g) for g in enumerate_graphs(n)] == [
-                emit_graph6(g) for g in reference[n]]
+            assert [canonical_key(g) for g in enumerate_graphs(n)] == reference[n]
+
+    def test_each_graph_is_its_keys_graph(self):
+        # so sweeps and reports depend on the classes alone, not on which
+        # labeled child enumeration reached first
+        for n in range(8):
+            for g in enumerate_graphs(n):
+                assert g == key_graph(canonical_key(g))
 
     def test_cold_enumeration_keeps_the_labeling_cache_unfilled(self, monkeypatch):
         # labeling every candidate up to n = 8 (144,923 graphs) cycled the
@@ -91,6 +99,33 @@ class TestEnumeration:
             enumerate_graphs(9)
         with pytest.raises(ValueError):
             enumerate_graphs(-1)
+
+
+class TestClassCensus:
+    @pytest.mark.parametrize("n", range(8))
+    def test_perfect_counts(self, n):
+        perfect = sum(invariants.is_perfect(g) for g in enumerate_graphs(n))
+        assert perfect == KNOWN_PERFECT_COUNTS[n]
+
+    def test_hereditarily_accepted_is_perfect_up_to_seven(self):
+        # G is hereditarily accepted when it and every induced subgraph are
+        # accepted.  Perfect graphs are accepted (perfect-subset) and
+        # perfection is hereditary; odd holes and antiholes have omega <
+        # chi, so theorem1 rejects them; by the Strong Perfect Graph
+        # Theorem the two classes are then one.  Only engine verdicts
+        # decide it, so a fault in recognition or in is_perfect shows here
+        eng = RecognitionEngine()
+
+        @functools.cache
+        def hereditary(key):
+            g = key_graph(key)
+            return eng.is_quasiperfect(g) and all(
+                hereditary(canonical_key(induced_subgraph(g, g.vertex_mask & ~(1 << v))))
+                for v in range(g.n))
+
+        for n in range(8):
+            for g in enumerate_graphs(n):
+                assert hereditary(canonical_key(g)) == invariants.is_perfect(g), emit_graph6(g)
 
 
 class TestClassificationRecords:
@@ -281,8 +316,15 @@ class TestTheoremSuites:
         assert json.loads(blob) == doc
 
 
-SEVEN_VERTEX_COUNTEREXAMPLES = [("FEhug", [1]), ("FEhuw", [1]), ("FEhvg", [1]),
-                                ("FEvdo", [0]), ("FEnew", [0]), ("FEnfo", [0])]
+# each counterexample class at n = 7 by its key, with the smallest vertex
+# set of its one failing orbit
+SEVEN_VERTEX_COUNTEREXAMPLES = [("FaK|W", [2]), ("FDZJw", [1]), ("FSTjw", [1]),
+                                ("FXT[w", [3]), ("FBnbw", [2]), ("FXU]w", [3])]
+
+# another labeling of each class, with its failing orbit there, and its key
+RELABELED_COUNTEREXAMPLES = [("FEhug", [1], "FaK|W"), ("FEhuw", [1], "FDZJw"),
+                             ("FEhvg", [1], "FSTjw"), ("FEvdo", [0], "FXT[w"),
+                             ("FEnew", [0], "FBnbw"), ("FEnfo", [0], "FXU]w")]
 
 
 def _oracle_class_orbits(g):
@@ -333,10 +375,12 @@ class TestSurveys:
         # every colour class of every optimal colouring, before orbit reduction
         assert (accepted, classes) == (202, 1414)
 
-    @pytest.mark.parametrize("g6, cls", SEVEN_VERTEX_COUNTEREXAMPLES,
-                             ids=[g6 for g6, _ in SEVEN_VERTEX_COUNTEREXAMPLES])
-    def test_color_removal_counterexamples_at_seven(self, g6, cls):
+    @pytest.mark.parametrize("g6, cls, key", RELABELED_COUNTEREXAMPLES,
+                             ids=[g6 for g6, _, _ in RELABELED_COUNTEREXAMPLES])
+    def test_color_removal_counterexamples_at_seven(self, g6, cls, key):
+        # the sweep's rows on a labeling that is not the key's
         g = parse_graph6(g6)
+        assert canonical_key(g).decode() == key
         rows = harness._removal_item(g)
         _, minima = _oracle_class_orbits(g)
         assert [s for s, _ in rows] == sorted(minima)

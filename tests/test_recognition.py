@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
-from qpkit import recognition
-from qpkit.canonical import canonical_form, key_graph
+from qpkit import harness, recognition
+from qpkit.canonical import canonical_form, canonical_key, key_graph
 from qpkit.families import FamilySpec, odd_cycle_family, replicate
 from qpkit.graphs import (
     bit_members,
@@ -190,10 +190,12 @@ class TestRecognition:
         assert verify_certificate(h, out2.certificate)
 
     def test_disjunctive_no_certificates(self):
-        eng = RecognitionEngine(reading="disjunctive")
-        g = parse_graph6("ECpo")  # accepted under disjunctive only
-        out = eng.recognize(g)
-        assert out.quasiperfect
+        # the either-side reading is a harness verdict with no certificate;
+        # the engine, which demands both sides, rejects this class
+        g = parse_graph6("E@V_")
+        assert harness._either_side(canonical_key(g)) is True
+        out = RecognitionEngine().recognize(g)
+        assert not out.quasiperfect
         assert out.certificate is None
 
 
@@ -624,8 +626,9 @@ class TestCertificateDeterminism:
 
     def test_certificates_pinned_up_to_seven(self):
         # sha256 over the certificate_to_json text of every accepted class
-        # with n <= 7, in enumeration order; a change to the search order
-        # of prime sets or to the certificate layout fails here.  Three
+        # with n <= 7, in enumeration order, each on the graph its class's
+        # key decodes to; a change to the search order of prime sets or to
+        # the certificate layout fails here.  Three
         # rounds over the same certificates: the first meets each root, the
         # second records its nodes text, the third writes from the record
         eng = RecognitionEngine()
@@ -635,7 +638,7 @@ class TestCertificateDeterminism:
         for _ in range(3):
             texts = [certificate_to_json(g, cert) for g, cert in pairs]
             assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-                "e7c04550ae07df13b3163ca0b49743bba1dee84fd70468f8e8b687047a3de2ab")
+                "6ad071c2cd808efbf5f33e275e171e8e3fed6d31980f7d31396c0d8939bd9b10")
 
 
 class TestCertificateProperties:
