@@ -30,6 +30,34 @@ the image of searched leaves: none beats the best code, the elected
 labeling stays the same, and the recorded automorphisms still generate
 the whole group.  Only the generator lists get shorter.
 
+At a node where a branch after the first survives orbit pruning, two
+rules may give, for free, an automorphism that fixes every cell of the
+node's equitable partition and maps the first branch vertex t0 onto that
+branch's vertex v; the search then records it and skips the branch.  The
+rules are decided once per node, and only there (see _image_rule):
+
+* Twin target: every vertex of the target cell T has the same row
+  outside T, and T is a clique or an independent set.  Then t0 and v
+  have the same neighbors apart from each other, so the transposition
+  (t0 v) is an automorphism, and it moves only vertices of T.
+* Pair cells: every non-singleton cell has exactly two vertices.  Let
+  sigma swap both vertices of every pair at once.  It fixes the
+  singletons, the path among them.  In an equitable partition the two
+  vertices of a pair have the same count against every cell: a singleton
+  sees a pair whole or not at all, and two pairs are joined fully, not at
+  all, or by a perfect matching, which sigma maps onto itself.  The edge
+  inside a pair, if any, is kept.  So sigma is an automorphism, and the
+  target is a pair {t0, v}.
+
+The skipped subtree is the image of the first branch's, which was
+searched: each of its leaves has the code of a searched leaf, so none
+beats the best code and, coming later, none is the first leaf with it;
+the elected labeling is unchanged.  The recorded automorphism maps the
+skipped tying leaves onto searched ones, so the recorded automorphisms
+still generate the whole group.  `canonical_form` and
+`automorphism_generators` both take these rules: there is one search
+path.
+
 Refinement never re-tests an inert splitter, a cell mask against which
 every cell has a single neighbor count: it stays inert on every finer
 partition.  The cells of a node's equitable partition are all inert, so
@@ -147,6 +175,37 @@ def _refine(adj: tuple[int, ...], cells: list[int],
     return cells
 
 
+def _image_rule(adj: tuple[int, ...], cells: list[int], target: int, size: int) -> str:
+    """Which automorphism of the node maps its first branch onto a later one.
+
+    cells are the cells of an equitable partition after its leading
+    singletons, target the search's target cell and size its vertex
+    count.  "twins" when every target vertex has the same row outside the
+    target and the target is a clique or an independent set: then any two
+    target vertices are twins, and their transposition is an automorphism
+    fixing every other vertex.  Equitability makes every target vertex
+    count the same neighbors inside the target, so the first one's count
+    decides clique or independent.  "pairs" when every non-singleton cell
+    has two vertices: swapping both vertices of every pair at once is then
+    an automorphism, see the module docstring.  "" when neither holds.
+    """
+    low = target & -target
+    row = adj[low.bit_length() - 1]
+    inside, outside = row & target, row & ~target
+    if not inside or inside == target ^ low:
+        rest = target ^ low
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & ~target != outside:
+                break
+            rest ^= low
+        else:
+            return "twins"
+    if size == 2 and all(cell.bit_count() <= 2 for cell in cells):
+        return "pairs"
+    return ""
+
+
 def _canonical_refined(g: Graph, known: set[int] | None = None
                        ) -> tuple[tuple[int, ...], int, list[list[int]]]:
     """The elected order, its code, and automorphisms that generate Aut(g).
@@ -241,6 +300,7 @@ def _canonical_refined(g: Graph, known: set[int] | None = None
         merged = 0
         tried: list[int] = []
         level = len(path)
+        image: str | None = None  # the branch-image rule, decided lazily
         for v in iter_bits(target):
             if tried:
                 if root is None:
@@ -253,6 +313,21 @@ def _canonical_refined(g: Graph, known: set[int] | None = None
                 merged = len(autos)
                 orbit = find(root, v)
                 if any(find(root, w) == orbit for w in tried):
+                    continue
+                if image is None:
+                    image = _image_rule(adj, cells[end:], target, size)
+                if image:
+                    # an automorphism fixing the node maps tried[0] to v:
+                    # record it instead of searching its image
+                    gamma = list(range(n))
+                    if image == "twins":
+                        gamma[tried[0]], gamma[v] = v, tried[0]
+                    else:
+                        for cell in cells[end:]:
+                            if cell & (cell - 1):
+                                a, b = (cell & -cell).bit_length() - 1, cell.bit_length() - 1
+                                gamma[a], gamma[b] = b, a
+                    autos.append(gamma)
                     continue
             tried.append(v)
             # every cell of the equitable parent is inert on the child

@@ -22,6 +22,7 @@ from .graphs import (
     emit_graph6,
     induced_subgraph,
     iter_bits,
+    mask_of,
 )
 from .invariants import (
     DEFAULT_PERFECTION_LIMIT,
@@ -184,10 +185,15 @@ def _grow_levels(n: int) -> None:
         keys: set[bytes] = set()
         for parent_key in _LEVELS[k - 1]:
             parent = key_graph(parent_key)
+            # the new vertex, of degree |mask|, has maximum degree in the
+            # child exactly when |mask| > top, or |mask| == top and it
+            # misses every parent vertex of degree top
+            top = max((row.bit_count() for row in parent.adj), default=0)
+            tops = mask_of(v for v, row in enumerate(parent.adj) if row.bit_count() == top)
             for mask in _subset_orbit_minima(k - 1, automorphism_generators(parent)):
-                child = add_vertex(parent, mask)
-                if all(row.bit_count() <= mask.bit_count() for row in child.adj):
-                    keys.add(canonical_key(child))
+                size = mask.bit_count()
+                if size > top or size == top and not mask & tops:
+                    keys.add(canonical_key(add_vertex(parent, mask)))
         _LEVELS.append(sorted(keys, key=lambda key: (key_graph(key).m, key)))
 
 
@@ -200,12 +206,12 @@ def enumerate_graphs(n: int) -> list[Graph]:
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
     1998).  Each class P on n-1 vertices gains a new vertex adjacent to
     one subset per orbit of Aut(P) on vertex subsets: the smallest mask
-    of each orbit.  A child whose new vertex is not of maximum degree is
-    dropped unlabeled, because deleting a vertex of higher degree leaves
-    a class with fewer edges, which comes before P.  The keys of the
-    other children are collected and sorted by edge count then key.  The
-    counts for n = 0..8 are 1, 1, 2, 4, 11, 34, 156, 1044 and 12346
-    (OEIS A000088).
+    of each orbit.  A mask whose new vertex would not be of maximum degree
+    is dropped before its child is built, because deleting a vertex of
+    higher degree leaves a class with fewer edges, which comes before P.
+    The keys of the other children are collected and sorted by edge count
+    then key.  The counts for n = 0..8 are 1, 1, 2, 4, 11, 34, 156, 1044
+    and 12346 (OEIS A000088).
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"built-in enumeration covers 0..{ENUMERATION_LIMIT}, got {n}")

@@ -7,15 +7,19 @@ A graph is quasiperfect when it is empty, or when both of these hold:
 * some clique PK meets every maximum independent set, has each member in
   a maximum independent set, and leaves a quasiperfect graph when removed.
 
-Recognition searches candidate prime sets in a fixed order (increasing
-size, then lexicographic), memoizing verdicts per isomorphism class via
-canonical keys.  A class is analyzed on the graph its key decodes to,
-never on the labeled copy that reached it, so the memo entry of an
-accepted class is its certificate node: the first accepted prime
-independent set and prime clique, as masks over that graph, and the keys
-of their residues.  A certificate is the set of nodes reachable from the
-queried class: a DAG with one node per isomorphism class (maximal
-sharing, as in hash-consing), plus the queried graph's canonical order.
+Recognition lists the candidate prime sets of each side in a fixed order
+(increasing size, then lexicographic) and searches the side with fewer
+candidates first, memoizing verdicts per isomorphism class via canonical
+keys.  One side without an accepted candidate rejects the class, so the
+other is never searched; the side order changes neither verdicts nor
+memo entries (RecognitionEngine._analyze gives the proof).  A class is
+analyzed on the graph its key decodes to, never on the labeled copy that
+reached it, so the memo entry of an accepted class is its certificate
+node: the first accepted prime independent set and prime clique, as
+masks over that graph, and the keys of their residues.  A certificate
+is the set of nodes reachable from the queried class: a DAG with one
+node per isomorphism class (maximal sharing, as in hash-consing), plus
+the queried graph's canonical order.
 
 Verdicts and certificates are functions of the graph alone: neither
 depends on what the engine recognized before.  Every verdict comes from
@@ -30,7 +34,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .canonical import canonical_form, canonical_key, key_graph
 from .graphs import (
@@ -613,7 +617,7 @@ class RecognitionEngine:
     def _verdict(self, g: Graph) -> bool:
         return bool(self._lookup(g)[1])
 
-    def _first_branch(self, g: Graph, candidates: Iterator[int]) -> tuple[int, bytes] | None:
+    def _first_branch(self, g: Graph, candidates: Iterable[int]) -> tuple[int, bytes] | None:
         """First candidate whose residue is accepted, with the residue's key."""
         full = g.vertex_mask
         for mask in candidates:
@@ -623,12 +627,28 @@ class RecognitionEngine:
         return None
 
     def _analyze(self, g: Graph) -> bool | Node:
-        pi = self._first_branch(g, prime_independent_sets(g))
-        if pi is None:
+        """The memo entry of g's class: False, or (pi, pk, pi_child, pk_child).
+
+        Both candidate lists are built first, and the side with fewer
+        candidates is searched first, the PI side on a tie; the class is
+        rejected as soon as one side has no accepted candidate.  This is
+        exact.  The entry of an accepted class holds the first accepted
+        PI and the first accepted PK, and each is found by scanning its
+        own side in (size, lex) order, with residue verdicts that depend
+        on the residue's class alone, so the order of the two scans does
+        not matter.  The entry of a rejected class is False whichever side
+        fails.  Only which residues get analyzed, and when, changes.
+        """
+        pis = list(prime_independent_sets(g))
+        pks = list(prime_cliques(g))
+        pk_first = len(pks) < len(pis)
+        first = self._first_branch(g, pks if pk_first else pis)
+        if first is None:
             return False
-        pk = self._first_branch(g, prime_cliques(g))
-        if pk is None:
+        second = self._first_branch(g, pis if pk_first else pks)
+        if second is None:
             return False
+        pi, pk = (second, first) if pk_first else (first, second)
         return pi[0], pk[0], pi[1], pk[1]
 
     def _materialize(self, g: Graph) -> QpCertificate:

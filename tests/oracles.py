@@ -531,3 +531,124 @@ def exhaustive_qp_supergraph(g, k_max, engine):
             if engine.is_quasiperfect(h):
                 return h, k
     return None
+
+
+# ---------------------------------------------------------------------------
+# The labeling search as it was before branch images were recorded instead
+# of searched: orbit pruning and the first-path jump only, always the full
+# search.  It follows the package's refinement and leaf order, because the
+# pruned search must elect exactly the same leaf.
+
+def former_canonical_refined(g):
+    """(order, code, automorphisms) of the full search, as canonical._canonical_refined
+    gave them before it recorded branch images."""
+    from qpkit.canonical import _refine
+
+    n, m = g.n, g.m
+    total_bits = n * (n - 1) // 2
+    if m == 0 or m == total_bits:
+        gens = [[1, 0, *range(2, n)]] if n > 1 else []
+        if n > 2:
+            gens.append([*range(1, n), 0])
+        return tuple(range(n)), (1 << m) - 1, gens
+    adj = g.adj
+    best_code = -1
+    best_order = []
+    best_path = []
+    autos = []
+
+    def find(root, v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    def search(cells, path, inert, prefix, code):
+        nonlocal best_code, best_order, best_path
+        if len(cells) < n:
+            cells = _refine(adj, cells, inert)
+        shared = len(prefix)
+        for cell in cells[shared:]:
+            if cell & (cell - 1):
+                break
+            if len(prefix) == shared:
+                prefix = prefix[:]
+            col = adj[cell.bit_length() - 1]
+            for u in prefix:
+                code = code << 1 | (col >> u & 1)
+            prefix.append(cell.bit_length() - 1)
+        end = len(prefix)
+        if best_order and end > 1:
+            pbits = end * (end - 1) // 2
+            if code < best_code >> (total_bits - pbits):
+                return n
+        if end == n:
+            if code > best_code:
+                best_code, best_order, best_path = code, prefix, path
+            elif code == best_code:
+                gamma = [0] * n
+                for b, v in zip(best_order, prefix):
+                    gamma[b] = v
+                autos.append(gamma)
+                depth = 0
+                while path[depth] == best_path[depth]:
+                    depth += 1
+                return depth
+            return n
+        target_idx, size = 0, n + 1
+        for i in range(end, len(cells)):
+            count = cells[i].bit_count()
+            if 1 < count < size:
+                target_idx, size = i, count
+                if count == 2:
+                    break
+        target = cells[target_idx]
+        head, tail = cells[:target_idx], cells[target_idx + 1:]
+        root = None
+        merged = 0
+        tried = []
+        level = len(path)
+        for v in _bits(target):
+            if tried:
+                if root is None:
+                    root = list(range(n))
+                for gamma in autos[merged:]:
+                    if all(gamma[u] == u for u in path):
+                        for u in range(n):
+                            if gamma[u] != u:
+                                root[find(root, u)] = find(root, gamma[u])
+                merged = len(autos)
+                orbit = find(root, v)
+                if any(find(root, w) == orbit for w in tried):
+                    continue
+            tried.append(v)
+            depth = search(head + [1 << v, target & ~(1 << v)] + tail,
+                           path + [v], cells, prefix, code)
+            if depth < level:
+                return depth
+        return n
+
+    search([g.vertex_mask], [], None, [], 0)
+    return tuple(best_order), best_code, autos
+
+
+# ---------------------------------------------------------------------------
+# The recognizer as it was before the side with fewer candidates went
+# first: the PI side is always searched first, its candidates drawn one at
+# a time.  Same memo, lookups and residues as the package's engine, so
+# verdicts, memo entries and certificates must agree exactly.
+
+def pi_first_engine(**kwargs):
+    """A RecognitionEngine whose classes are analyzed PI side first."""
+    from qpkit.recognition import RecognitionEngine, prime_cliques, prime_independent_sets
+
+    class PiFirstEngine(RecognitionEngine):
+        def _analyze(self, g):
+            pi = self._first_branch(g, prime_independent_sets(g))
+            if pi is None:
+                return False
+            pk = self._first_branch(g, prime_cliques(g))
+            if pk is None:
+                return False
+            return pi[0], pk[0], pi[1], pk[1]
+
+    return PiFirstEngine(**kwargs)

@@ -477,3 +477,72 @@ def _first_leaf_code(g):
 def _all_classes(n):
     from qpkit.harness import enumerate_graphs
     return enumerate_graphs(n)
+
+
+def _petersen():
+    return from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)])
+
+
+def _cube():
+    return from_edges(8, [(u, u ^ 1 << k) for u in range(8) for k in range(3) if u < u ^ 1 << k])
+
+
+class TestBranchImages:
+    """Later branches that a twin target or pair cells map onto the first
+    are recorded as automorphisms, not searched.  The former search, in
+    oracles.py, must elect the same leaf."""
+
+    SYMMETRIC = ([_disjoint_cliques(k, m) for k in range(1, 5) for m in range(1, 5)]
+                 + [complement(_disjoint_cliques(3, 3)),  # K3,3,3
+                    complement(_disjoint_cliques(6, 2)),  # the cocktail party graph
+                    _blowup(5, 2), _blowup(5, 3), _rook(3, 3), _cube(), _petersen()])
+
+    @staticmethod
+    def _same_election(g):
+        order, code, _ = oracles.former_canonical_refined(g)
+        assert _canonical_refined(g)[:2] == (order, code), emit_graph6(g)
+        assert canonical_form(g) == (graph6_of_code(g.n, code), order), emit_graph6(g)
+
+    def test_every_class_up_to_eight(self):
+        for n in range(9):
+            for g in _all_classes(n):
+                self._same_election(g)
+
+    def test_relabeled_symmetric_graphs(self):
+        rnd = random.Random(26)
+        for g in self.SYMMETRIC:
+            for _ in range(20):
+                self._same_election(permute(g, rnd.sample(range(g.n), g.n)))
+
+    def test_generators_give_the_former_orbits(self):
+        # generator lists may differ from the former search's; the group
+        # they generate may not
+        for g in self.SYMMETRIC:
+            gens = automorphism_generators(g)
+            assert all(TestAutomorphisms._is_automorphism(g, gamma) for gamma in gens)
+            assert len(gens) <= g.n - 1
+            if g.n <= 12:
+                assert _subset_orbit_minima(g.n, gens) == _subset_orbit_minima(
+                    g.n, oracles.former_canonical_refined(g)[2])
+
+    def test_fewer_refinements(self, monkeypatch):
+        # refinements, one per search node that is not a leaf, over the
+        # full searches of every class with n <= 7: a deterministic count,
+        # pinned for both searches
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return _refine(*args)
+
+        monkeypatch.setattr(canonical, "_refine", counting)
+        counts = []
+        for search in (_canonical_refined, oracles.former_canonical_refined):
+            calls[0] = 0
+            for n in range(8):
+                for g in _all_classes(n):
+                    search(g)
+            counts.append(calls[0])
+        assert counts == [2859, 4457]

@@ -12,6 +12,7 @@ import oracles
 from qpkit import families, harness, invariants
 from qpkit.canonical import canonical_form, canonical_key, key_graph
 from qpkit.graphs import (
+    add_vertex,
     bit_members,
     complete_graph,
     cycle_graph,
@@ -75,6 +76,22 @@ class TestEnumeration:
         info = canonical_form.cache_info()
         assert info.currsize < info.maxsize
         assert info.misses < 25_000
+
+    def test_builds_only_the_children_it_keeps(self, monkeypatch):
+        # the maximum-degree rule is decided from the mask before the
+        # child is built: building every orbit's child up to n = 7 made
+        # 5,759 graphs to keep 1,640; the levels are the same
+        reference = oracles.enumerate_by_extension(7)
+        built = [0]
+
+        def counting(g, mask):
+            built[0] += 1
+            return add_vertex(g, mask)
+
+        monkeypatch.setattr(harness, "_LEVELS", [])
+        monkeypatch.setattr(harness, "add_vertex", counting)
+        assert [[canonical_key(g) for g in enumerate_graphs(n)] for n in range(8)] == reference
+        assert built == [1640]
 
     def test_no_isomorphic_pair(self):
         for n in range(6):

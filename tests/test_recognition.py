@@ -1,7 +1,9 @@
 """Recognition engine, prime-set predicates, and certificate machinery."""
 
 import hashlib
+import itertools
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -798,3 +800,111 @@ class TestEngineAgainstKnownGraphs:
     ])
     def test_verdicts(self, builder, expected):
         assert RecognitionEngine().recognize(builder()).quasiperfect == expected
+
+
+def _symmetric_graphs():
+    """The symmetric graphs of the classify benchmark, built the same way:
+    disjoint cliques and 4-cycles, cycle blow-ups, rook's graphs and the
+    cube, each with its complement."""
+    def clique(t):
+        return t, list(itertools.combinations(range(t), 2))
+
+    def cycle(t):
+        return t, [(i, (i + 1) % t) for i in range(t)]
+
+    def disjoint(k, base):
+        n, edges = base
+        return k * n, [(u + i * n, v + i * n) for i in range(k) for u, v in edges]
+
+    def blowup(base, t):
+        n, edges = base
+        out = [(v * t + a, v * t + b) for v in range(n)
+               for a, b in itertools.combinations(range(t), 2)]
+        out += [(u * t + a, v * t + b) for u, v in edges for a in range(t) for b in range(t)]
+        return n * t, out
+
+    def rook(a, b):
+        cells = [(i, j) for i in range(a) for j in range(b)]
+        return a * b, [(x, y) for x, y in itertools.combinations(range(a * b), 2)
+                       if cells[x][0] == cells[y][0] or cells[x][1] == cells[y][1]]
+
+    bases = ([disjoint(k, clique(2)) for k in range(2, 7)]
+             + [disjoint(k, clique(3)) for k in range(2, 5)]
+             + [disjoint(k, clique(4)) for k in range(2, 4)]
+             + [disjoint(2, clique(5))]
+             + [disjoint(k, cycle(4)) for k in range(2, 4)]
+             + [blowup(cycle(c), t) for c, t in ((4, 2), (4, 3), (5, 2), (6, 2))]
+             + [rook(a, b) for a, b in ((2, 4), (2, 5), (2, 6), (3, 3), (3, 4))]
+             + [(8, [(u, u ^ 1 << k) for u in range(8) for k in range(3) if u < u ^ 1 << k])])
+    out = []
+    for n, edges in bases:
+        g = from_edges(n, edges)
+        out += [g, complement(g)]
+    return out
+
+
+def _seeded_corpus():
+    """random.Random(1): n = 9..12, densities 0.3, 0.5 and 0.7, five graphs
+    each, with round(d * len(pairs)) edges drawn from the vertex pairs, as
+    in the CI step "Search work on a seeded corpus"."""
+    rnd = random.Random(1)
+    out = []
+    for n in range(9, 13):
+        pairs = list(itertools.combinations(range(n), 2))
+        for d in (0.3, 0.5, 0.7):
+            for _ in range(5):
+                out.append(from_edges(n, rnd.sample(pairs, round(d * len(pairs)))))
+    return out
+
+
+class TestSideOrder:
+    """The side with fewer prime-set candidates is searched first.
+
+    The oracle engine searches the PI side first, as the engine did
+    before; verdicts and certificates must be the same."""
+
+    @staticmethod
+    def _same_answers(graphs):
+        new, old = RecognitionEngine(), oracles.pi_first_engine()
+        for g in graphs:
+            a, b = new.recognize(g), old.recognize(g)
+            assert a.quasiperfect == b.quasiperfect, emit_graph6(g)
+            if a.quasiperfect:
+                ca, cb = a.certificate, b.certificate
+                assert (ca.key, ca.order, dict(ca.nodes)) == \
+                    (cb.key, cb.order, dict(cb.nodes)), emit_graph6(g)
+        return new, old
+
+    def test_every_class_up_to_seven(self):
+        self._same_answers([g for n in range(8) for g in enumerate_graphs(n)])
+
+    def test_seeded_random_graphs(self):
+        rnd = random.Random(26)
+        self._same_answers([random_graph(rnd, n, p) for n in (9, 10, 11)
+                            for p in (0.3, 0.5, 0.7) for _ in range(3)])
+
+    def test_symmetric_graphs(self):
+        self._same_answers(_symmetric_graphs())
+
+    def test_no_prime_clique_rejects_before_any_residue_is_labeled(self):
+        # the 5-wheel has no prime clique, and one PI candidate, the hub,
+        # whose residue is C5: the PK side is shorter, goes first and
+        # rejects, so only the wheel itself is labeled
+        wheel = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                               (0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])
+        assert list(prime_cliques(wheel)) == []
+        assert len(list(prime_independent_sets(wheel))) == 1
+        for engine, labelings in ((RecognitionEngine(), 1), (oracles.pi_first_engine(), 2)):
+            canonical_form.cache_clear()
+            assert not engine.is_quasiperfect(wheel)
+            assert canonical_form.cache_info().misses == labelings
+
+    def test_seeded_corpus_work(self):
+        # deterministic work counters, pinned for both engines: classes
+        # analyzed and labelings (labeling-cache misses from a cold cache)
+        counts = []
+        for engine in (RecognitionEngine(), oracles.pi_first_engine()):
+            canonical_form.cache_clear()
+            accepted = sum(engine.recognize(g).quasiperfect for g in _seeded_corpus())
+            counts.append((accepted, engine._nodes, canonical_form.cache_info().misses))
+        assert counts == [(45, 438, 639), (45, 510, 871)]
