@@ -6,13 +6,13 @@ Usage: memo_usage.py QPKIT-ARGS...
 For example, ``memo_usage.py verify theorem2 --n-max 8``.  The command's
 own output goes to standard output.  After it, one line per bounded
 ``functools.lru_cache`` in the qpkit modules (its ``cache_info()``), one
-each for the set of codes the labeling search stops at and the record of
-certificate roots, which recognition makes and verification and
-serialization reuse (size and bound), and the process's peak resident set
-size go to standard error.
+each (size and bound) for the set of codes the labeling search stops at,
+the table of enumerated graphs that labeling answers without a search,
+and the three certificate tables (verified nodes, dual nodes, nodes
+text), and the process's peak resident set size go to standard error.
 The exit status is the command's, or 1 when a memo has reached its
-maxsize: a memo that evicts during a sweep, or a set that stops growing,
-does not fit the sweep it serves.
+maxsize: a memo that evicts during a sweep, or a table that stops
+growing, does not fit the sweep it serves.
 """
 
 import resource
@@ -43,11 +43,12 @@ def main() -> int:
         print(f"{name}: {info}", file=sys.stderr)
         if info.currsize >= info.maxsize:
             full.append(name)
-    for name, held, bound in (
-            ("qpkit.canonical._known_codes", canonical._known_codes,
-             canonical._KNOWN_CODES_MAX),
-            ("qpkit.recognition._root_records", recognition._root_records,
-             recognition._ROOT_RECORDS_MAX)):
+    tables = [(f"qpkit.canonical.{name}", getattr(canonical, name), bound)
+              for name, bound in (("_known_codes", canonical._KNOWN_CODES_MAX),
+                                  ("_enumerated", canonical._ENUMERATED_MAX))]
+    tables += [(f"qpkit.recognition.{name}", getattr(recognition, name), recognition._TABLE_MAX)
+               for name in ("_verified", "_duals", "_texts")]
+    for name, held, bound in tables:
         kind, size = type(held).__name__, len(held)
         print(f"{name}: {kind}(maxsize={bound}, currsize={size})", file=sys.stderr)
         if size >= bound:

@@ -13,7 +13,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .canonical import automorphism_generators, canonical_key, key_graph
+from .canonical import automorphism_generators, canonical_key, key_graph, register_enumerated
 from .graphs import (
     Graph,
     add_vertex,
@@ -177,6 +177,7 @@ def _subset_orbit_minima(n: int, generators: list[list[int]]) -> list[int]:
 
 
 def _grow_levels(n: int) -> None:
+    grown = len(_LEVELS)
     while len(_LEVELS) <= n:
         k = len(_LEVELS)
         if k == 0:
@@ -195,6 +196,9 @@ def _grow_levels(n: int) -> None:
                 if size > top or size == top and not mask & tops:
                     keys.add(canonical_key(add_vertex(parent, mask)))
         _LEVELS.append(sorted(keys, key=lambda key: (key_graph(key).m, key)))
+    for level in _LEVELS[grown:]:
+        for key in level:
+            register_enumerated(key)
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -212,6 +216,10 @@ def enumerate_graphs(n: int) -> list[Graph]:
     The keys of the other children are collected and sorted by edge count
     then key.  The counts for n = 0..8 are 1, 1, 2, 4, 11, 34, 156, 1044
     and 12346 (OEIS A000088).
+
+    Every key of a level is a canonical_key output, so its graph is
+    registered with canonical.register_enumerated once the level is made:
+    canonical_form then answers it as (key, identity) without a search.
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"built-in enumeration covers 0..{ENUMERATION_LIMIT}, got {n}")

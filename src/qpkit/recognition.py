@@ -25,16 +25,22 @@ Verdicts and certificates are functions of the graph alone: neither
 depends on what the engine recognized before.  Every verdict comes from
 the prime-set search; nothing the paper proves about accepted graphs is
 assumed.
+
+The memo never overwrites an entry, so an engine certificate's nodes are
+a read-only view of the memo, made without a walk.  What is learned of a
+view is kept per class, once per process: that a node and all it reaches
+verify, the dual node complement_certificate makes of it, and the JSON
+text of the nodes under a root.  Certificates made any other way are
+walked in full on every call.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 from .canonical import canonical_form, canonical_key, key_graph
 from .graphs import (
@@ -177,9 +183,10 @@ class QpCertificate:
     masks over the graph that key decodes to, and the keys of the two
     residues.  The empty graph has key "?" and no node.
 
-    A certificate from RecognitionEngine.recognize holds its nodes in a
-    read-only mapping, which the engine may hand out again for the same
-    root; copy it with dict(cert.nodes) to build a variant.
+    A certificate from RecognitionEngine.recognize or from
+    complement_certificate holds its nodes in a read-only view of a store
+    the engine shares (and keeps alive); copy it with dict(cert.nodes) to
+    build a variant.
     """
 
     key: bytes
@@ -270,31 +277,126 @@ def _verify_node(key: bytes, node: Node) -> CertificateCheck:
     return CertificateCheck(True)
 
 
-@dataclass(slots=True)
-class _RootRecord:
-    """The read-only nodes the engine hands out for one root, and what is known of them."""
+class _NodesView(Mapping):
+    """The nodes reachable from root in a store whose entries are never overwritten.
 
-    nodes: Mapping[bytes, Node]
-    verified: bool = False  # verify_certificate walked these nodes and accepted
-    text: str | None = None  # the "nodes" member as certificate_to_json writes it
-
-
-# Root key -> None after the root's first materialization, then the
-# _RootRecord of its second, whose nodes every later one reuses.  Only
-# RecognitionEngine._materialize assigns it.  A root met once, as most
-# roots of a sweep are, costs one key; it stops taking new roots at
-# _ROOT_RECORDS_MAX.
-_root_records: dict[bytes, _RootRecord | None] = {}
-_ROOT_RECORDS_MAX = 1 << 16
-
-
-def _record_of(cert: QpCertificate) -> _RootRecord | None:
-    """The root record whose nodes mapping is cert.nodes itself, or None.
-
-    The key's type is tested first: a bytearray key is unhashable.
+    A read-only mapping: item assignment raises TypeError.  Creating one
+    walks nothing; the reachable keys are listed when the view is first
+    iterated, sized, indexed or compared, in the order of a pre-order walk
+    that visits pk_child before pi_child, and kept.  The store never
+    changes an entry, so neither does the view.
     """
-    record = _root_records.get(cert.key) if type(cert.key) is bytes else None
-    return record if record is not None and record.nodes is cert.nodes else None
+
+    __slots__ = ("_store", "_root", "_keys")
+
+    def __init__(self, store: Mapping[bytes, Node], root: bytes) -> None:
+        self._store, self._root = store, root
+        self._keys: dict[bytes, None] | None = None
+
+    def _reach(self) -> dict[bytes, None]:
+        if self._keys is None:
+            keys: dict[bytes, None] = {}
+            stack = [self._root]
+            while stack:
+                key = stack.pop()
+                if key == _K0_KEY or key in keys:
+                    continue
+                keys[key] = None
+                stack += self._store[key][2:]
+            self._keys = keys
+        return self._keys
+
+    def __getitem__(self, key: bytes) -> Node:
+        if key not in self._reach():
+            raise KeyError(key)
+        return self._store[key]
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._reach())
+
+    def __len__(self) -> int:
+        return len(self._reach())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class _DualView(_NodesView):
+    """A view of _duals: the nodes complement_certificate makes from an engine view."""
+
+    __slots__ = ()
+
+
+# The facts kept per class, each table bounded at _TABLE_MAX entries and
+# not added to when full.  A node object lives in one store only, at one
+# key: the memo of the engine that made it, or _duals.  So a fact filed
+# under id(node), with the node kept alive beside it, speaks of that
+# store's entry alone, and the engine and dual nodes of one class never
+# displace each other.
+#   _verified: id(node) -> node, for each node that _verify_view accepted
+#       together with every node it reaches in its store;
+#   _duals: complement key -> node, the store of complement_certificate's
+#       views, each entry put in after the entries of its children;
+#   _texts: id(root node) -> (root node, the "nodes" member that
+#       certificate_to_json wrote for the view of that root).
+_verified: dict[int, Node] = {}
+_duals: dict[bytes, Node] = {}
+_texts: dict[int, tuple[Node, str]] = {}
+_TABLE_MAX = 1 << 16
+
+
+def _view_of(cert: QpCertificate) -> _NodesView | None:
+    """cert.nodes when it is a view rooted at cert.key, else None.
+
+    The key's type is tested first: a bytearray key compares equal to the
+    bytes root but is not hashable, so such a certificate counts as
+    caller-made.
+    """
+    nodes = cert.nodes
+    if type(cert.key) is bytes and isinstance(nodes, _NodesView) and nodes._root == cert.key:
+        return nodes
+    return None
+
+
+def _verify_view(view: _NodesView) -> CertificateCheck:
+    """The walk of verify_certificate for a view, skipping what _verified vouches for.
+
+    A view maps each key it reaches to one node and cannot miss a node or
+    hold an unreachable one, and the engine and complement_certificate
+    make only (int, int, bytes, bytes) nodes, so the view is valid
+    exactly when every reachable node passes _verify_node.  The recursion
+    is the walk's pre-order, pk_child first.  A node whose entry in
+    _verified is that very object passed, and so did everything it
+    reaches; skipping it changes no outcome, nor which node fails first:
+    no failing node is reachable from it, so the first path to a failing
+    node passes through no skipped node.  A node is entered in _verified
+    only after every node it reaches passed; once _verified is full,
+    nothing is entered and every reachable node is checked, as the walk
+    checks them.
+    """
+    store = view._store
+    seen: set[bytes] = set()
+
+    def visit(key: bytes) -> CertificateCheck | None:
+        if key == _K0_KEY or key in seen:
+            return None
+        node = store[key]
+        if _verified.get(id(node)) is node:
+            return None
+        seen.add(key)
+        check = _verify_node(key, node)
+        if not check:
+            return check
+        for child in (node[3], node[2]):
+            failure = visit(child)
+            if failure is not None:
+                return failure
+        if len(_verified) < _TABLE_MAX:
+            _verified[id(node)] = node
+        return None
+
+    failure = visit(view._root)
+    return CertificateCheck(True) if failure is None else failure
 
 
 def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
@@ -310,11 +412,11 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     certificate_from_json demands too: a float or a bool compares equal to
     an int but cannot relabel a vertex.
 
-    The order and the root are checked on every call.  The walk over the
-    DAG is skipped when cert.nodes is its root record's own mapping and a
-    walk over it accepted before: the mapping is read-only, and only
-    RecognitionEngine._materialize records it.  Any other mapping is
-    walked in full.
+    The order and the root are checked on every call.  The nodes of a
+    certificate from RecognitionEngine.recognize or complement_certificate
+    are a view of a store, and each class of a store is checked once per
+    process (_verify_view gives the proof); any other mapping is walked in
+    full.
 
     The root key is not relabeled to confirm it is canonical: the proof
     does not need it, since the order must map the root's graph onto g
@@ -330,9 +432,9 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         return _fail("undecodable-key", cert.key)
     if root.n != g.n or permute(root, order) != g:
         return _fail("root-mismatch")
-    record = _record_of(cert)
-    if record is not None and record.verified:
-        return CertificateCheck(True)
+    view = _view_of(cert)
+    if view is not None:
+        return _verify_view(view)
     seen: set[bytes] = set()
     stack = [cert.key]
     while stack:
@@ -352,8 +454,6 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         stack += node[2:]
     if len(seen) != len(cert.nodes):
         return _fail("unreachable-node", next(k for k in cert.nodes if k not in seen))
-    if record is not None:
-        record.verified = True
     return CertificateCheck(True)
 
 
@@ -414,6 +514,24 @@ def _complement_node(key: bytes, node: Node) -> tuple[bytes, Node]:
                      _complement_form(pk_child)[0], _complement_form(pi_child)[0])
 
 
+def _translate(store: Mapping[bytes, Node], key: bytes) -> bool:
+    """Put the dual of key's class, and of every class it reaches in store, in _duals.
+
+    Each entry goes in after those of its children, so every key in
+    _duals reaches only keys in _duals.  False when _duals is full first.
+    """
+    if key == _K0_KEY or _complement_form(key)[0] in _duals:
+        return True
+    node = store[key]
+    if not (_translate(store, node[3]) and _translate(store, node[2])):
+        return False
+    if len(_duals) >= _TABLE_MAX:
+        return False
+    new_key, new_node = _complement_node(key, node)
+    _duals[new_key] = new_node
+    return True
+
+
 def complement_certificate(cert: QpCertificate) -> QpCertificate:
     """Certificate for the complement graph: swap the two prime roles.
 
@@ -421,16 +539,27 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     complement with the same vertices, and residues commute with
     complementation, so each node maps to the complement of its class
     with pi and pk swapped and moved into that class's canonical slots.
-    Each distinct (key, node) pair is translated once per process.  A
-    node that is not (int, int, bytes, bytes) raises
-    InvalidCertificateError("malformed-node").
+    Each distinct (key, node) pair is translated once per process.
+
+    The nodes of an engine certificate are translated into _duals, once
+    per class, and the result is a view of it; the dual of a class
+    depends on the class alone, so every engine's certificates share it.
+    Any other mapping, a view of _duals included, is translated into a
+    new dict: two translations of one class may differ by an automorphism,
+    and _duals keeps one per key.  A node that is not (int, int, bytes,
+    bytes) raises InvalidCertificateError("malformed-node").
     """
-    nodes: dict[bytes, Node] = {}
-    for key, node in cert.nodes.items():
-        if not _well_formed(node):
-            raise InvalidCertificateError("malformed-node", repr(key))
-        new_key, new_node = _complement_node(key, tuple(node))
-        nodes[new_key] = new_node
+    view = _view_of(cert)
+    nodes: Mapping[bytes, Node]
+    if type(view) is _NodesView and _translate(view._store, view._root):
+        nodes = _DualView(_duals, _complement_form(view._root)[0])
+    else:
+        nodes = translated = {}
+        for key, node in cert.nodes.items():
+            if not _well_formed(node):
+                raise InvalidCertificateError("malformed-node", repr(key))
+            new_key, new_node = _complement_node(key, tuple(node))
+            translated[new_key] = new_node
     new_key, order = _complement_form(cert.key)
     return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
@@ -441,22 +570,24 @@ def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
     g itself is not stored: it is the root key's graph with slot p moved
     to vertex order[p].  The text is json.dumps of the document with
     separators (",", ":") and sorted keys, plus a newline.  The "nodes"
-    member is written once per root record and reused for every
-    certificate that holds the record's own read-only mapping, which only
-    RecognitionEngine._materialize records; any other mapping is written
-    anew.  "key" and "order" are written on every call.
+    member of a view is written once per store and root and kept in
+    _texts; any other mapping is written anew.  "key" and "order" are
+    written on every call.
     """
     key_text = json.dumps(cert.key.decode("ascii"))
-    record = _record_of(cert)
-    nodes_text = record.text if record is not None else None
-    if nodes_text is None:
+    view = _view_of(cert)
+    root_node = view._store.get(view._root) if view is not None else None
+    kept = _texts.get(id(root_node)) if root_node is not None else None
+    if kept is not None and kept[0] is root_node:
+        nodes_text = kept[1]
+    else:
         nodes_text = json.dumps(
             {key.decode("ascii"): [bit_members(pi), bit_members(pk),
                                    pi_child.decode("ascii"), pk_child.decode("ascii")]
              for key, (pi, pk, pi_child, pk_child) in cert.nodes.items()},
             separators=(",", ":"), sort_keys=True)
-        if record is not None:
-            record.text = nodes_text
+        if root_node is not None and len(_texts) < _TABLE_MAX:
+            _texts[id(root_node)] = (root_node, nodes_text)
     order_text = json.dumps(list(cert.order), separators=(",", ":"))
     return (f'{{"key":{key_text},"nodes":{nodes_text},"order":{order_text},'
             f'"schema":"{CERTIFICATE_SCHEMA}"}}\n')
@@ -652,29 +783,10 @@ class RecognitionEngine:
         return pi[0], pk[0], pi[1], pk[1]
 
     def _materialize(self, g: Graph) -> QpCertificate:
-        """The certificate of an accepted g: its order and the memo nodes it reaches.
+        """The certificate of an accepted g: its order and a view of the memo at its key.
 
-        The nodes are a read-only view of a dict nothing else holds.  A
-        root's first materialization leaves its key in _root_records, its
-        second records its view, and every later one hands out that view
-        without walking the memo.  Certificates depend on the class alone,
-        so the view serves every engine.
+        Nothing is walked: the memo never overwrites an entry, so the view
+        holds, whenever it is read, the nodes the key reaches now.
         """
         key, order = canonical_form(g)
-        record = _root_records.get(key)
-        if record is not None:
-            return QpCertificate(key, order, record.nodes)
-        nodes: dict[bytes, Node] = {}
-        stack = [key]
-        while stack:
-            k = stack.pop()
-            if k == _K0_KEY or k in nodes:
-                continue
-            nodes[k] = self._memo[k]
-            stack += nodes[k][2:]
-        view = MappingProxyType(nodes)
-        if key in _root_records:
-            _root_records[key] = _RootRecord(view)
-        elif len(_root_records) < _ROOT_RECORDS_MAX:
-            _root_records[key] = None
-        return QpCertificate(key, order, view)
+        return QpCertificate(key, order, _NodesView(self._memo, key))

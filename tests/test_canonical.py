@@ -35,7 +35,13 @@ from qpkit.graphs import (
     permute,
 )
 from qpkit.harness import _subset_orbit_minima
-from qpkit.recognition import QpCertificate, RecognitionEngine, verify_certificate
+from qpkit.recognition import (
+    QpCertificate,
+    RecognitionEngine,
+    certificate_from_json,
+    certificate_to_json,
+    verify_certificate,
+)
 
 
 def _refined_key(g):
@@ -391,6 +397,62 @@ class TestKnownClasses:
         assert canonical._known_codes
         assert [_subset_orbit_minima(g.n, automorphism_generators(g))
                 for g in graphs] == cold
+
+
+class TestEnumeratedGraphs:
+    """enumerate_graphs registers the graph of every key it elects, and
+    canonical_form answers such a graph as (key, identity) without a
+    search; the full search must elect exactly that."""
+
+    def test_every_class_up_to_eight(self):
+        from qpkit.harness import _LEVELS, enumerate_graphs
+
+        enumerate_graphs(8)
+        keys = [key for level in _LEVELS[:9] for key in level]
+        assert len(keys) == 13599
+        assert {key: key_graph(key) for key in keys} == \
+            {key: g for g, key in canonical._enumerated.items()}
+        for g, key in canonical._enumerated.items():
+            order, code, _ = _canonical_refined(g)
+            assert (graph6_of_code(g.n, code), order) == (key, tuple(range(g.n))), key
+            assert canonical_form(g) == (key, order)
+
+    def test_other_graphs_are_searched(self, monkeypatch, capsys):
+        from qpkit.harness import enumerate_graphs
+
+        classes = [g for n in range(8) for g in enumerate_graphs(n)]
+        held = dict(canonical._enumerated)
+        rnd = random.Random(27)
+        copies = [permute(g, rnd.sample(range(g.n), g.n)) for g in classes]
+        copies = [h for h, g in zip(copies, classes) if h != g]
+        assert len(copies) > 1000
+        full = [_canonical_refined(h)[:2] for h in copies]
+        searched = []
+
+        def counting(g, known=None):
+            searched.append(g)
+            return _canonical_refined(g, known)
+
+        monkeypatch.setattr(canonical, "_canonical_refined", counting)
+        for h, (order, code) in zip(copies, full):
+            assert canonical_form.__wrapped__(h) == (graph6_of_code(h.n, code), order)
+        assert searched == copies
+        # user graph6 that is not a key is searched, and registers nothing
+        # however it is read: classify, key_graph, a certificate document
+        text = "".join(emit_graph6(h) + "\n" for h in copies[-50:])
+        canonical_form.cache_clear()
+        searched.clear()
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(text))
+        assert cli.main(["classify", "-", "--format", "graph6"]) == 0
+        capsys.readouterr()
+        assert set(copies[-50:]) <= set(searched)
+        for h in copies[-50:]:
+            g6 = emit_graph6(h).encode("ascii")
+            assert key_graph(g6) == h
+            cert = RecognitionEngine().recognize(h).certificate
+            if cert is not None:
+                certificate_from_json(certificate_to_json(h, cert))
+        assert canonical._enumerated == held
 
 
 class TestBatch:

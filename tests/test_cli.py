@@ -89,10 +89,9 @@ class TestClassify:
         assert code == 3
 
     def test_no_certificate_without_cert_out(self, monkeypatch, capsys):
-        monkeypatch.setattr(recognition, "_root_records", {})
+        monkeypatch.setattr(recognition.RecognitionEngine, "_materialize", None)  # fails if called
         code, out = run(["classify", "-"], "Ehf?\nEhf?\n", monkeypatch, capsys)
         assert code == 0 and all(json.loads(ln)["quasiperfect"] for ln in out.splitlines())
-        assert recognition._root_records == {}
 
     def test_limit_env_raises_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("QPKIT_LIMIT", "soon")
@@ -322,7 +321,9 @@ class TestMemoUsage:
                      "invariants._maximum_cliques", "recognition._verify_node"):
             assert f"qpkit.{name}: CacheInfo(" in out.err
         assert "qpkit.canonical._known_codes: set(maxsize=65536, currsize=" in out.err
-        assert "qpkit.recognition._root_records: dict(maxsize=65536, currsize=" in out.err
+        for name in ("canonical._enumerated", "recognition._verified",
+                     "recognition._duals", "recognition._texts"):
+            assert f"qpkit.{name}: dict(maxsize=65536, currsize=" in out.err
         assert "peak RSS: " in out.err
 
     def test_a_full_memo_fails(self, monkeypatch, capsys):
@@ -339,11 +340,22 @@ class TestMemoUsage:
         assert code == 1
         assert "memos at maxsize: qpkit.canonical._known_codes" in out.err
 
-    def test_a_full_root_record_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr(recognition, "_ROOT_RECORDS_MAX", 1)
+    def test_a_full_certificate_table_fails(self, monkeypatch, capsys):
+        # theorem2 verifies and complements certificates but writes none
+        for name in ("_verified", "_duals", "_texts"):
+            monkeypatch.setattr(recognition, name, {})
+        monkeypatch.setattr(recognition, "_TABLE_MAX", 1)
         code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
         assert code == 1
-        assert "memos at maxsize: qpkit.recognition._root_records" in out.err
+        assert ("memos at maxsize: qpkit.recognition._verified, qpkit.recognition._duals\n"
+                in out.err)
+
+    def test_a_full_enumerated_table_fails(self, monkeypatch, capsys):
+        harness.enumerate_graphs(3)  # the levels the sweep reads, grown and registered
+        monkeypatch.setattr(canonical, "_ENUMERATED_MAX", len(canonical._enumerated))
+        code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
+        assert code == 1
+        assert "memos at maxsize: qpkit.canonical._enumerated" in out.err
 
 
 class TestConsoleScript:

@@ -5,6 +5,8 @@ import functools
 import itertools
 import json
 import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +118,39 @@ class TestEnumeration:
             enumerate_graphs(9)
         with pytest.raises(ValueError):
             enumerate_graphs(-1)
+
+
+class TestWorkCounts:
+    """Deterministic work counters of `verify all --n-max 7` in a new process.
+
+    The probe prints the exit code, the labeling searches
+    (_canonical_refined calls), the refinements (_refine calls), the node
+    shape tests of the certificate walk (_well_formed calls), the node
+    checks (_verify_node calls) and the canonical_form cache misses.  The
+    CI python310 job runs the same probe.  Before engine certificates were
+    views of the memo and enumerated graphs were answered without a
+    search, they read 4629, 9341, 24632, 12316 and 4420: every theorem2
+    certificate was walked node by node, twice, and theorem1 labeled 686
+    key graphs anew.
+    """
+
+    PROBE = (
+        "import collections, os; from qpkit import canonical, cli, recognition; "
+        "calls = collections.Counter(); "
+        "names = [(canonical, '_canonical_refined'), (canonical, '_refine'), "
+        "(recognition, '_well_formed'), (recognition, '_verify_node')]; "
+        "wrap = lambda mod, name, inner: setattr("
+        "mod, name, lambda *a: (calls.update([name]), inner(*a))[1]); "
+        "[wrap(mod, name, getattr(mod, name)) for mod, name in names]; "
+        "code = cli.main(['verify', 'all', '--n-max', '7', '--out', os.devnull]); "
+        "print(code, *(calls[name] for _, name in names), "
+        "canonical.canonical_form.cache_info().misses)"
+    )
+
+    def test_verify_all_to_seven(self):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["0", "3943", "8139", "0", "1191", "4420"]
 
 
 class TestClassCensus:

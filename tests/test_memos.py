@@ -31,6 +31,7 @@ from qpkit.invariants import (
 from qpkit.recognition import (
     RecognitionEngine,
     _complement_form,
+    complement_certificate,
     _complement_node,
     _verify_node,
     certificate_from_json,
@@ -98,11 +99,15 @@ def test_mutating_a_returned_clique_list_changes_no_later_answer():
     assert not is_prime_independent_set(g, 0b00001)
 
 
+TABLES = ("_verified", "_duals", "_texts")
+
+
 @pytest.fixture
-def records(monkeypatch):
-    """An empty root record for one test, the process's own restored after it."""
-    monkeypatch.setattr(recognition, "_root_records", {})
-    return recognition._root_records
+def tables(monkeypatch):
+    """Empty certificate tables for one test, the process's own restored after it."""
+    for name in TABLES:
+        monkeypatch.setattr(recognition, name, {})
+    return recognition
 
 
 def _both(g, cert):
@@ -115,64 +120,165 @@ def _both(g, cert):
 
 
 def _cold(g, cert):
-    """_both with the root record cleared before each call, and put back after."""
-    records = recognition._root_records
-    saved = dict(records)
-    records.clear()
+    """_both with empty certificate tables for each call, the tables put back after."""
+    saved = {name: getattr(recognition, name) for name in TABLES}
+    for name in TABLES:
+        setattr(recognition, name, {})
     check = verify_certificate(g, cert)
-    records.clear()
+    for name in TABLES:
+        setattr(recognition, name, {})
     text = _both(g, cert)[1]
-    records.clear()
-    records.update(saved)
+    for name, table in saved.items():
+        setattr(recognition, name, table)
     return check, text
 
 
-def _accepted_up_to(n_max):
-    engine = RecognitionEngine()
+def _memo_walk(memo, key):
+    """The nodes key reaches in an engine memo, as a dict in walk order (pk_child first)."""
+    nodes = {}
+    stack = [key]
+    while stack:
+        k = stack.pop()
+        if k == b"?" or k in nodes:
+            continue
+        nodes[k] = memo[k]
+        stack += nodes[k][2:]
+    return nodes
+
+
+def _accepted_up_to(n_max, engine=None):
+    engine = engine or RecognitionEngine()
     return [(g, out.certificate) for n in range(n_max + 1) for g in enumerate_graphs(n)
             for out in [engine.recognize(g)] if out.quasiperfect]
 
 
-def test_root_records_match_recomputation(records):
-    first = _accepted_up_to(6)
-    assert len(first) == 202
-    assert records == dict.fromkeys((cert.key for _, cert in first), None)
-    pairs = _accepted_up_to(6)  # each root's second materialization records it
-    for (g, cert), (_, earlier) in zip(pairs, first):
-        record = records[cert.key]
-        assert record.nodes is cert.nodes and cert.nodes == earlier.nodes
+def test_views_match_recomputation(tables):
+    engine = RecognitionEngine()
+    pairs = _accepted_up_to(6, engine)
+    assert len(pairs) == 202
+    for g, cert in pairs:
+        assert type(cert.nodes) is recognition._NodesView
+        walk = _memo_walk(engine._memo, cert.key)
+        assert list(cert.nodes.items()) == list(walk.items())  # the same order
+        assert cert.nodes == walk and len(cert.nodes) == len(walk)
         doc = {"schema": "qpcert-v2", "key": cert.key.decode(), "order": list(cert.order),
                "nodes": {k.decode(): [bit_members(pi), bit_members(pk), a.decode(), b.decode()]
-                         for k, (pi, pk, a, b) in cert.nodes.items()}}
+                         for k, (pi, pk, a, b) in walk.items()}}
         check, text = _cold(g, cert)
         assert check and text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-        for _ in range(3):  # the second call of each is answered from the record
+        for _ in range(3):  # the second call of each is answered from the tables
             assert verify_certificate(g, cert) == check
             assert certificate_to_json(g, cert) == text
-        assert record.verified and record.text is not None
+        if cert.key != b"?":
+            root = cert.nodes[cert.key]
+            assert tables._verified[id(root)] is root
+            assert tables._texts[id(root)] == (root, json.dumps(
+                doc["nodes"], separators=(",", ":"), sort_keys=True))
+    # a later certificate of a class is a new view of the same memo, equal
+    # to the first and answered from the same tables
+    for (g, cert), (_, again) in zip(pairs, _accepted_up_to(6, engine)):
+        assert again.nodes is not cert.nodes and again.nodes == cert.nodes
+        assert _both(g, again) == _both(g, cert)
 
 
-def test_engine_certificate_nodes_are_read_only(records):
+def test_a_view_walks_nothing_until_read(tables):
+    # verification and complementing read the store, not the view
+    engine = RecognitionEngine()
+    g, _ = _largest()
+    cert = engine.recognize(g).certificate
+    assert cert.nodes._keys is None
+    assert verify_certificate(g, cert) and complement_certificate(cert)
+    assert cert.nodes._keys is None
+    assert len(cert.nodes) == len(_memo_walk(engine._memo, cert.key)) > 1
+    assert cert.nodes._keys is not None
+
+
+def test_engine_certificate_nodes_are_read_only(tables):
     cert = RecognitionEngine().recognize(parse_graph6("Ehf?")).certificate
-    node = cert.nodes[cert.key]
-    with pytest.raises(TypeError):
-        cert.nodes[cert.key] = (0, *node[1:])
-    copy = dict(cert.nodes)
-    copy[cert.key] = (0, *node[1:])
-    assert cert.nodes[cert.key] is node
+    dual = complement_certificate(cert)
+    for c in (cert, dual):
+        node = c.nodes[c.key]
+        with pytest.raises(TypeError):
+            c.nodes[c.key] = (0, *node[1:])
+        copy = dict(c.nodes)
+        copy[c.key] = (0, *node[1:])
+        assert c.nodes[c.key] is node
+    with pytest.raises(KeyError):  # in the memo, but not reached from the root
+        cert.nodes[b"D~{"]
 
 
-def test_a_class_met_again_shares_one_mapping(records):
+def test_a_class_met_again_shares_one_mapping(tables):
     g = parse_graph6("Ehf?")
     engine = RecognitionEngine()
     first = engine.recognize(g).certificate
-    assert records == {first.key: None}
     copies = [g, permute(g, [5, 4, 3, 2, 1, 0])]
     second, third = (engine.recognize(h).certificate for h in copies)
-    assert records[first.key].nodes is second.nodes is third.nodes
+    assert first.nodes._store is second.nodes._store is third.nodes._store is engine._memo
     assert second.nodes == first.nodes and second.nodes is not first.nodes
     for h, cert in zip(copies, (second, third)):
         assert verify_certificate(h, cert)
+    duals = [complement_certificate(c) for c in (first, second, third)]
+    assert duals[0].nodes._store is duals[2].nodes._store is tables._duals
+    assert all(d.nodes == duals[0].nodes for d in duals)
+
+
+def test_each_class_is_checked_once(tables, monkeypatch):
+    pairs = _accepted_up_to(6)
+    duals = [(complement(g), complement_certificate(cert)) for g, cert in pairs]
+    calls = _counted(monkeypatch, "_verify_node")
+    walks = _counted(monkeypatch, "_well_formed")
+    for _ in range(2):
+        for h, cert in pairs + duals:
+            assert verify_certificate(h, cert)
+    # each class once as an engine node and once as a dual node
+    assert calls[0] == len({k for _, c in pairs for k in c.nodes}) + \
+        len({k for _, c in duals for k in c.nodes}) == 2 * 201
+    assert walks[0] == 0
+
+
+def test_a_bad_memo_node_fails_as_the_walk_does(tables, monkeypatch):
+    # with the memo tampered at one node, or at every node below the root,
+    # a view reports the (reason, node) of the walk over a dict copy; the
+    # tables are warmed first by every certificate that does not reach the
+    # tampered keys
+    engine = RecognitionEngine()
+    pairs = _accepted_up_to(6, engine)
+    g, cert = max(pairs, key=lambda pair: len(pair[1].nodes))
+    keys = list(cert.nodes)
+    targets = [[k] for k in keys] + [keys[1:], keys[2::2]]
+    for i, tampered in enumerate(targets):
+        for name in TABLES:
+            monkeypatch.setattr(recognition, name, {})
+        with monkeypatch.context() as m:
+            for k in tampered:
+                pi, pk, pi_child, pk_child = engine._memo[k]
+                bad = (0, pk, pi_child, pk_child) if i % 2 else (pi, 0, pi_child, pk_child)
+                m.setitem(engine._memo, k, bad)
+            for h, other in pairs:
+                if not set(tampered) & set(other.nodes):
+                    assert verify_certificate(h, other)
+            view = engine.recognize(g).certificate
+            walked = verify_certificate(g, replace(view, nodes=dict(view.nodes)))
+            check = verify_certificate(g, view)
+            assert not check and (check.reason, check.node) == (walked.reason, walked.node)
+    assert verify_certificate(g, cert)
+
+
+def test_double_complement_takes_the_dict_path(tables):
+    # a dual view is translated into a new dict, never into the dual store,
+    # whatever the store held before
+    engine = RecognitionEngine()
+    pairs = _accepted_up_to(6, engine)
+    duals = [complement_certificate(cert) for _, cert in pairs]
+    held = dict(tables._duals)
+    for (g, cert), dual in zip(pairs, duals):
+        back = complement_certificate(dual)
+        assert type(back.nodes) is dict
+        assert back.key == cert.key
+        assert {k: v[2:] for k, v in back.nodes.items()} == \
+            {k: v[2:] for k, v in cert.nodes.items()}
+        assert verify_certificate(g, back)
+    assert tables._duals == held
 
 
 def _largest():
@@ -180,14 +286,14 @@ def _largest():
     return max(_accepted_up_to(6), key=lambda pair: len(pair[1].nodes))
 
 
-def _recorded(records):
-    """_largest's class and its certificate from the record, verified and written."""
+def _kept(tables):
+    """_largest's class and a certificate of it, verified and written into the tables."""
     g, _ = _largest()
     cert = RecognitionEngine().recognize(g).certificate
     assert verify_certificate(g, cert)
     certificate_to_json(g, cert)
-    record = records[cert.key]
-    assert record.nodes is cert.nodes and record.verified and record.text is not None
+    root = cert.nodes[cert.key]
+    assert tables._verified[id(root)] is root and tables._texts[id(root)][0] is root
     return g, cert
 
 
@@ -201,7 +307,7 @@ def _tampered_root(cert):
     return replace(cert, nodes={**cert.nodes, cert.key: (pi | pk, pk, pi_child, pk_child)})
 
 
-# caller-made certificates of a recorded root: how each is built, and the
+# caller-made certificates of a kept root: how each is built, and the
 # (reason, node) verify_certificate gives it, "root" standing for its key
 CALLER_MADE = {
     "copy": (lambda c: replace(c, nodes=dict(c.nodes)), None, None),
@@ -228,8 +334,9 @@ def _counted(monkeypatch, name):
 
 
 @pytest.mark.parametrize("variant", list(CALLER_MADE))
-def test_caller_made_nodes_are_walked_and_written_anew(records, monkeypatch, variant):
-    g, cert = _recorded(records)
+def test_caller_made_nodes_are_walked_and_written_anew(tables, monkeypatch, variant):
+    g, cert = _kept(tables)
+    held = {name: dict(getattr(tables, name)) for name in TABLES}
     build, reason, node = CALLER_MADE[variant]
     other = build(cert)
     walks, writes = _counted(monkeypatch, "_well_formed"), _counted(monkeypatch, "bit_members")
@@ -251,13 +358,12 @@ def test_caller_made_nodes_are_walked_and_written_anew(records, monkeypatch, var
             assert _both(g, other) == cold
             assert walks[0] > before[0] or reason == "undecodable-key"
             assert writes[0] > before[1]
-    record = records[cert.key]
-    assert len(records) == 202  # no caller-made certificate adds a root
-    assert record.nodes is cert.nodes and record.verified and record.text is not None
+    # no caller-made certificate adds to or changes a table
+    assert {name: getattr(tables, name) for name in TABLES} == held
 
 
-def test_a_certificate_read_back_matches(records):
-    g, cert = _recorded(records)
+def test_a_certificate_read_back_matches(tables):
+    g, cert = _kept(tables)
     text = certificate_to_json(g, cert)
     g2, cert2 = certificate_from_json(text)
     assert g2 == g and cert2.nodes == cert.nodes
@@ -266,3 +372,23 @@ def test_a_certificate_read_back_matches(records):
         for h, c in ((g2, cert2), (g, cert)):
             assert verify_certificate(h, c)
             assert certificate_to_json(h, c) == text
+
+
+def test_full_tables_fall_back_to_the_walk(tables, monkeypatch):
+    monkeypatch.setattr(recognition, "_TABLE_MAX", 0)
+    pairs = _accepted_up_to(6)
+    calls = _counted(monkeypatch, "_verify_node")
+    for g, cert in pairs:
+        dual = complement_certificate(cert)
+        assert dual == _dict_complement(cert)
+        assert type(dual.nodes) is dict or cert.key == b"?"
+        cold = _cold(g, replace(cert, nodes=dict(cert.nodes)))
+        before = calls[0]
+        for _ in range(2):  # every node is checked on every call
+            assert _both(g, cert) == cold
+        assert calls[0] - before == 2 * len(cert.nodes)
+    assert not any(getattr(tables, name) for name in TABLES)
+
+
+def _dict_complement(cert):
+    return complement_certificate(replace(cert, nodes=dict(cert.nodes)))

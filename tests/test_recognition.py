@@ -658,10 +658,13 @@ class TestCertificateProperties:
         assert accepted == (name != "C5[2]")  # C5[2] has omega 4 < chi 5
 
 
-def _clear_memos():
+def _clear_memos(monkeypatch):
+    """Cold node memos, and empty certificate tables until the test ends."""
     _verify_node.cache_clear()
     _complement_form.cache_clear()
     _complement_node.cache_clear()
+    for name in ("_verified", "_duals", "_texts"):
+        monkeypatch.setattr(recognition, name, {})
 
 
 def _translate_unmemoized(cert):
@@ -683,7 +686,7 @@ def _translate_unmemoized(cert):
 
 
 class TestVerificationMemo:
-    def test_warm_and_cold_memos_agree(self):
+    def test_warm_and_cold_memos_agree(self, monkeypatch):
         # every accepted class with n <= 7 and its complement certificate:
         # the memos answer exactly as a cold check does
         eng = RecognitionEngine()
@@ -705,11 +708,11 @@ class TestVerificationMemo:
         answers()  # fills both memos
         warm = answers()
         for (g, cert), (dual, chk, dual_chk) in zip(certs, warm):
-            _clear_memos()
+            _clear_memos(monkeypatch)
             assert complement_certificate(cert) == dual
-            _clear_memos()
+            _clear_memos(monkeypatch)
             assert verify_certificate(g, cert) == chk
-            _clear_memos()
+            _clear_memos(monkeypatch)
             assert verify_certificate(complement(g), dual) == dual_chk
             assert chk and dual_chk
 
