@@ -6,10 +6,9 @@ Usage: memo_usage.py QPKIT-ARGS...
 For example, ``memo_usage.py verify theorem2 --n-max 8``.  The command's
 own output goes to standard output.  After it, one line per bounded
 ``functools.lru_cache`` in the qpkit modules (its ``cache_info()``), one
-each (size and bound) for the set of codes the labeling search stops at,
-the table of enumerated graphs that labeling answers without a search,
-and the three certificate tables (verified nodes, dual nodes, nodes
-text), and the process's peak resident set size go to standard error.
+each (size and bound) for the set of codes the labeling search stops at
+and the table of enumerated graphs that labeling answers without a
+search, and the process's peak resident set size go to standard error.
 The exit status is the command's, or 1 when a memo has reached its
 maxsize: a memo that evicts during a sweep, or a table that stops
 growing, does not fit the sweep it serves.
@@ -19,7 +18,7 @@ import resource
 import sys
 
 import qpkit.cli
-from qpkit import canonical, recognition
+from qpkit import canonical
 
 
 def bounded_memos() -> list[tuple[str, object]]:
@@ -46,8 +45,6 @@ def main() -> int:
     tables = [(f"qpkit.canonical.{name}", getattr(canonical, name), bound)
               for name, bound in (("_known_codes", canonical._KNOWN_CODES_MAX),
                                   ("_enumerated", canonical._ENUMERATED_MAX))]
-    tables += [(f"qpkit.recognition.{name}", getattr(recognition, name), recognition._TABLE_MAX)
-               for name in ("_verified", "_duals", "_texts")]
     for name, held, bound in tables:
         kind, size = type(held).__name__, len(held)
         print(f"{name}: {kind}(maxsize={bound}, currsize={size})", file=sys.stderr)

@@ -28,10 +28,10 @@ assumed.
 
 The memo never overwrites an entry, so an engine certificate's nodes are
 a read-only view of the memo, made without a walk.  What is learned of a
-view is kept per class, once per process: that a node and all it reaches
-verify, the dual node complement_certificate makes of it, and the JSON
-text of the nodes under a root.  Certificates made any other way are
-walked in full on every call.
+view is kept per class in the engine's store (_Store), beside the memo:
+that a node and all it reaches verify, the dual node complement_certificate
+makes of it, and the JSON text of the nodes under a root.  Certificates
+made any other way are walked in full on every call.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ class QpCertificate:
     residues.  The empty graph has key "?" and no node.
 
     A certificate from RecognitionEngine.recognize or from
-    complement_certificate holds its nodes in a read-only view of a store
-    the engine shares (and keeps alive); copy it with dict(cert.nodes) to
+    complement_certificate holds its nodes in a read-only view of the
+    engine's store (and keeps it alive); copy it with dict(cert.nodes) to
     build a variant.
     """
 
@@ -277,8 +277,35 @@ def _verify_node(key: bytes, node: Node) -> CertificateCheck:
     return CertificateCheck(True)
 
 
+class _Store:
+    """An engine's memo and what is learned of the certificates it holds.
+
+    memo maps each class key the engine met to its entry: False, True for
+    K0, or the certificate node.  No entry of a store is ever overwritten:
+    the engine stores only on a miss, and _translate only when the key is
+    absent.  So each fact below is filed under a class key and stays true
+    of that key's entry:
+      verified: the keys whose node passed _verify_node together with
+          every node it reaches;
+      texts: root key -> the "nodes" member certificate_to_json wrote for
+          the view of that root;
+      dual: the store complement_certificate fills, the dual node of each
+          class under its complement key; None in a dual store itself.
+    Every fact belongs to a memo entry (a dual entry to the accepted entry
+    it translates), so DEFAULT_MEMO_CAPACITY bounds them all.
+    """
+
+    __slots__ = ("memo", "verified", "texts", "dual")
+
+    def __init__(self, dual: _Store | None = None) -> None:
+        self.memo: dict[bytes, bool | Node] = {}
+        self.verified: set[bytes] = set()
+        self.texts: dict[bytes, str] = {}
+        self.dual = dual
+
+
 class _NodesView(Mapping):
-    """The nodes reachable from root in a store whose entries are never overwritten.
+    """The nodes reachable from root in a store's memo.
 
     A read-only mapping: item assignment raises TypeError.  Creating one
     walks nothing; the reachable keys are listed when the view is first
@@ -289,12 +316,13 @@ class _NodesView(Mapping):
 
     __slots__ = ("_store", "_root", "_keys")
 
-    def __init__(self, store: Mapping[bytes, Node], root: bytes) -> None:
+    def __init__(self, store: _Store, root: bytes) -> None:
         self._store, self._root = store, root
         self._keys: dict[bytes, None] | None = None
 
     def _reach(self) -> dict[bytes, None]:
         if self._keys is None:
+            memo = self._store.memo
             keys: dict[bytes, None] = {}
             stack = [self._root]
             while stack:
@@ -302,14 +330,14 @@ class _NodesView(Mapping):
                 if key == _K0_KEY or key in keys:
                     continue
                 keys[key] = None
-                stack += self._store[key][2:]
+                stack += memo[key][2:]
             self._keys = keys
         return self._keys
 
     def __getitem__(self, key: bytes) -> Node:
         if key not in self._reach():
             raise KeyError(key)
-        return self._store[key]
+        return self._store.memo[key]
 
     def __iter__(self) -> Iterator[bytes]:
         return iter(self._reach())
@@ -319,30 +347,6 @@ class _NodesView(Mapping):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
-
-
-class _DualView(_NodesView):
-    """A view of _duals: the nodes complement_certificate makes from an engine view."""
-
-    __slots__ = ()
-
-
-# The facts kept per class, each table bounded at _TABLE_MAX entries and
-# not added to when full.  A node object lives in one store only, at one
-# key: the memo of the engine that made it, or _duals.  So a fact filed
-# under id(node), with the node kept alive beside it, speaks of that
-# store's entry alone, and the engine and dual nodes of one class never
-# displace each other.
-#   _verified: id(node) -> node, for each node that _verify_view accepted
-#       together with every node it reaches in its store;
-#   _duals: complement key -> node, the store of complement_certificate's
-#       views, each entry put in after the entries of its children;
-#   _texts: id(root node) -> (root node, the "nodes" member that
-#       certificate_to_json wrote for the view of that root).
-_verified: dict[int, Node] = {}
-_duals: dict[bytes, Node] = {}
-_texts: dict[int, tuple[Node, str]] = {}
-_TABLE_MAX = 1 << 16
 
 
 def _view_of(cert: QpCertificate) -> _NodesView | None:
@@ -359,31 +363,28 @@ def _view_of(cert: QpCertificate) -> _NodesView | None:
 
 
 def _verify_view(view: _NodesView) -> CertificateCheck:
-    """The walk of verify_certificate for a view, skipping what _verified vouches for.
+    """The walk of verify_certificate for a view, skipping the store's verified keys.
 
     A view maps each key it reaches to one node and cannot miss a node or
     hold an unreachable one, and the engine and complement_certificate
     make only (int, int, bytes, bytes) nodes, so the view is valid
     exactly when every reachable node passes _verify_node.  The recursion
-    is the walk's pre-order, pk_child first.  A node whose entry in
-    _verified is that very object passed, and so did everything it
-    reaches; skipping it changes no outcome, nor which node fails first:
-    no failing node is reachable from it, so the first path to a failing
-    node passes through no skipped node.  A node is entered in _verified
-    only after every node it reaches passed; once _verified is full,
-    nothing is entered and every reachable node is checked, as the walk
-    checks them.
+    is the walk's pre-order, pk_child first.  A verified key's node
+    passed, and so did everything it reaches; skipping it changes no
+    outcome, nor which node fails first: no failing node is reachable
+    from it, so the first path to a failing node passes through no
+    skipped node.  A key is marked verified only after every node it
+    reaches passed.  The recursion enters a node's children only after
+    the node passed, so they have fewer vertices than it; a key met
+    twice was therefore verified at its first meeting, or the walk has
+    already stopped.
     """
-    store = view._store
-    seen: set[bytes] = set()
+    memo, verified = view._store.memo, view._store.verified
 
     def visit(key: bytes) -> CertificateCheck | None:
-        if key == _K0_KEY or key in seen:
+        if key == _K0_KEY or key in verified:
             return None
-        node = store[key]
-        if _verified.get(id(node)) is node:
-            return None
-        seen.add(key)
+        node = memo[key]
         check = _verify_node(key, node)
         if not check:
             return check
@@ -391,8 +392,7 @@ def _verify_view(view: _NodesView) -> CertificateCheck:
             failure = visit(child)
             if failure is not None:
                 return failure
-        if len(_verified) < _TABLE_MAX:
-            _verified[id(node)] = node
+        verified.add(key)
         return None
 
     failure = visit(view._root)
@@ -414,8 +414,8 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
 
     The order and the root are checked on every call.  The nodes of a
     certificate from RecognitionEngine.recognize or complement_certificate
-    are a view of a store, and each class of a store is checked once per
-    process (_verify_view gives the proof); any other mapping is walked in
+    are a view of an engine's store, and each class of a store is checked
+    once (_verify_view gives the proof); any other mapping is walked in
     full.
 
     The root key is not relabeled to confirm it is canonical: the proof
@@ -501,35 +501,28 @@ def _to_canonical(mask: int, order: tuple[int, ...]) -> int:
     return sum(1 << p for p, v in enumerate(order) if mask >> v & 1)
 
 
-@lru_cache(maxsize=1 << 16)
 def _complement_node(key: bytes, node: Node) -> tuple[bytes, Node]:
-    """The complement class's key and node for one (key, node) pair.
-
-    A pure function of both, memoized per process like _verify_node, so a
-    node that differs from a translated one in any field is translated anew.
-    """
+    """The complement class's key and node for one (key, node) pair."""
     pi, pk, pi_child, pk_child = node
     new_key, order = _complement_form(key)
     return new_key, (_to_canonical(pk, order), _to_canonical(pi, order),
                      _complement_form(pk_child)[0], _complement_form(pi_child)[0])
 
 
-def _translate(store: Mapping[bytes, Node], key: bytes) -> bool:
-    """Put the dual of key's class, and of every class it reaches in store, in _duals.
+def _translate(store: _Store, key: bytes) -> None:
+    """Put the dual of key's class, and of every class it reaches, in store.dual.
 
-    Each entry goes in after those of its children, so every key in
-    _duals reaches only keys in _duals.  False when _duals is full first.
+    Each entry goes in after those of its children, and only when its key
+    is absent, so every key in the dual store reaches only keys in it.
     """
-    if key == _K0_KEY or _complement_form(key)[0] in _duals:
-        return True
-    node = store[key]
-    if not (_translate(store, node[3]) and _translate(store, node[2])):
-        return False
-    if len(_duals) >= _TABLE_MAX:
-        return False
+    dual = store.dual.memo
+    if key == _K0_KEY or _complement_form(key)[0] in dual:
+        return
+    node = store.memo[key]
+    _translate(store, node[3])
+    _translate(store, node[2])
     new_key, new_node = _complement_node(key, node)
-    _duals[new_key] = new_node
-    return True
+    dual[new_key] = new_node
 
 
 def complement_certificate(cert: QpCertificate) -> QpCertificate:
@@ -539,20 +532,19 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     complement with the same vertices, and residues commute with
     complementation, so each node maps to the complement of its class
     with pi and pk swapped and moved into that class's canonical slots.
-    Each distinct (key, node) pair is translated once per process.
 
-    The nodes of an engine certificate are translated into _duals, once
-    per class, and the result is a view of it; the dual of a class
-    depends on the class alone, so every engine's certificates share it.
-    Any other mapping, a view of _duals included, is translated into a
+    The nodes of an engine certificate are translated into the engine's
+    dual store, once per class, and the result is a view of it.  Any
+    other mapping, a view of a dual store included, is translated into a
     new dict: two translations of one class may differ by an automorphism,
-    and _duals keeps one per key.  A node that is not (int, int, bytes,
+    and a store keeps one per key.  A node that is not (int, int, bytes,
     bytes) raises InvalidCertificateError("malformed-node").
     """
     view = _view_of(cert)
     nodes: Mapping[bytes, Node]
-    if type(view) is _NodesView and _translate(view._store, view._root):
-        nodes = _DualView(_duals, _complement_form(view._root)[0])
+    if view is not None and view._store.dual is not None:
+        _translate(view._store, view._root)
+        nodes = _NodesView(view._store.dual, _complement_form(view._root)[0])
     else:
         nodes = translated = {}
         for key, node in cert.nodes.items():
@@ -570,24 +562,21 @@ def certificate_to_json(g: Graph, cert: QpCertificate) -> str:
     g itself is not stored: it is the root key's graph with slot p moved
     to vertex order[p].  The text is json.dumps of the document with
     separators (",", ":") and sorted keys, plus a newline.  The "nodes"
-    member of a view is written once per store and root and kept in
-    _texts; any other mapping is written anew.  "key" and "order" are
+    member of a view is written once per root and kept in the view's
+    store; any other mapping is written anew.  "key" and "order" are
     written on every call.
     """
     key_text = json.dumps(cert.key.decode("ascii"))
     view = _view_of(cert)
-    root_node = view._store.get(view._root) if view is not None else None
-    kept = _texts.get(id(root_node)) if root_node is not None else None
-    if kept is not None and kept[0] is root_node:
-        nodes_text = kept[1]
-    else:
+    nodes_text = view._store.texts.get(view._root) if view is not None else None
+    if nodes_text is None:
         nodes_text = json.dumps(
             {key.decode("ascii"): [bit_members(pi), bit_members(pk),
                                    pi_child.decode("ascii"), pk_child.decode("ascii")]
              for key, (pi, pk, pi_child, pk_child) in cert.nodes.items()},
             separators=(",", ":"), sort_keys=True)
-        if root_node is not None and len(_texts) < _TABLE_MAX:
-            _texts[id(root_node)] = (root_node, nodes_text)
+        if view is not None:
+            view._store.texts[view._root] = nodes_text
     order_text = json.dumps(list(cert.order), separators=(",", ":"))
     return (f'{{"key":{key_text},"nodes":{nodes_text},"order":{order_text},'
             f'"schema":"{CERTIFICATE_SCHEMA}"}}\n')
@@ -693,7 +682,7 @@ class RecognitionEngine:
         if mode not in ("pure", "accelerated"):
             raise ValueError(f"unknown mode {mode!r}")
         self.limit = limit
-        self._memo: dict[bytes, bool | Node] = {}
+        self._store = _Store(_Store())
         self._nodes = 0
         self._hits = 0
 
@@ -716,12 +705,6 @@ class RecognitionEngine:
 
     # -- internals
 
-    def _store(self, key: bytes, entry: bool | Node) -> None:
-        if len(self._memo) >= DEFAULT_MEMO_CAPACITY and key not in self._memo:
-            raise MemoCapacityError(
-                f"recognition memo exceeded {DEFAULT_MEMO_CAPACITY} entries")
-        self._memo[key] = entry
-
     def _lookup(self, g: Graph) -> tuple[bytes, bool | Node]:
         """Key and memo entry of g's class, analyzing the class on a miss.
 
@@ -736,13 +719,17 @@ class RecognitionEngine:
             raise RecognitionLimitError(
                 f"recognition on {g.n} vertices exceeds limit {self.limit}")
         key, _ = canonical_form(g)
-        entry = self._memo.get(key)
+        memo = self._store.memo
+        entry = memo.get(key)
         if entry is not None:
             self._hits += 1
             return key, entry
         self._nodes += 1
         entry = self._analyze(key_graph(key))
-        self._store(key, entry)
+        if len(memo) >= DEFAULT_MEMO_CAPACITY:
+            raise MemoCapacityError(
+                f"recognition memo exceeded {DEFAULT_MEMO_CAPACITY} entries")
+        memo[key] = entry
         return key, entry
 
     def _verdict(self, g: Graph) -> bool:
@@ -783,10 +770,10 @@ class RecognitionEngine:
         return pi[0], pk[0], pi[1], pk[1]
 
     def _materialize(self, g: Graph) -> QpCertificate:
-        """The certificate of an accepted g: its order and a view of the memo at its key.
+        """The certificate of an accepted g: its order and a view of the store at its key.
 
         Nothing is walked: the memo never overwrites an entry, so the view
         holds, whenever it is read, the nodes the key reaches now.
         """
         key, order = canonical_form(g)
-        return QpCertificate(key, order, _NodesView(self._memo, key))
+        return QpCertificate(key, order, _NodesView(self._store, key))

@@ -321,9 +321,7 @@ class TestMemoUsage:
                      "invariants._maximum_cliques", "recognition._verify_node"):
             assert f"qpkit.{name}: CacheInfo(" in out.err
         assert "qpkit.canonical._known_codes: set(maxsize=65536, currsize=" in out.err
-        for name in ("canonical._enumerated", "recognition._verified",
-                     "recognition._duals", "recognition._texts"):
-            assert f"qpkit.{name}: dict(maxsize=65536, currsize=" in out.err
+        assert "qpkit.canonical._enumerated: dict(maxsize=65536, currsize=" in out.err
         assert "peak RSS: " in out.err
 
     def test_a_full_memo_fails(self, monkeypatch, capsys):
@@ -339,16 +337,6 @@ class TestMemoUsage:
         code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
         assert code == 1
         assert "memos at maxsize: qpkit.canonical._known_codes" in out.err
-
-    def test_a_full_certificate_table_fails(self, monkeypatch, capsys):
-        # theorem2 verifies and complements certificates but writes none
-        for name in ("_verified", "_duals", "_texts"):
-            monkeypatch.setattr(recognition, name, {})
-        monkeypatch.setattr(recognition, "_TABLE_MAX", 1)
-        code, out = self.run(monkeypatch, capsys, ["verify", "theorem2", "--n-max", "3"])
-        assert code == 1
-        assert ("memos at maxsize: qpkit.recognition._verified, qpkit.recognition._duals\n"
-                in out.err)
 
     def test_a_full_enumerated_table_fails(self, monkeypatch, capsys):
         harness.enumerate_graphs(3)  # the levels the sweep reads, grown and registered

@@ -1,4 +1,4 @@
-"""Process-wide memos return what an uncached recomputation returns."""
+"""Memos and certificate facts return what an uncached recomputation returns."""
 
 import itertools
 import json
@@ -32,7 +32,6 @@ from qpkit.recognition import (
     RecognitionEngine,
     _complement_form,
     complement_certificate,
-    _complement_node,
     _verify_node,
     certificate_from_json,
     certificate_to_json,
@@ -78,7 +77,6 @@ def test_certificate_memos_match_recomputation(rng):
         for key, node in out.certificate.nodes.items():
             for _ in range(2):
                 assert _verify_node(key, node) == _verify_node.__wrapped__(key, node)
-                assert _complement_node(key, node) == _complement_node.__wrapped__(key, node)
                 assert _complement_form(key) == _complement_form.__wrapped__(key)
             checked += 1
     assert checked > 20
@@ -99,17 +97,6 @@ def test_mutating_a_returned_clique_list_changes_no_later_answer():
     assert not is_prime_independent_set(g, 0b00001)
 
 
-TABLES = ("_verified", "_duals", "_texts")
-
-
-@pytest.fixture
-def tables(monkeypatch):
-    """Empty certificate tables for one test, the process's own restored after it."""
-    for name in TABLES:
-        monkeypatch.setattr(recognition, name, {})
-    return recognition
-
-
 def _both(g, cert):
     """verify_certificate, then certificate_to_json (TypeError when it raises that)."""
     check = verify_certificate(g, cert)
@@ -120,17 +107,16 @@ def _both(g, cert):
 
 
 def _cold(g, cert):
-    """_both with empty certificate tables for each call, the tables put back after."""
-    saved = {name: getattr(recognition, name) for name in TABLES}
-    for name in TABLES:
-        setattr(recognition, name, {})
-    check = verify_certificate(g, cert)
-    for name in TABLES:
-        setattr(recognition, name, {})
-    text = _both(g, cert)[1]
-    for name, table in saved.items():
-        setattr(recognition, name, table)
-    return check, text
+    """_both with no facts in the store cert's nodes view, if any, put back after."""
+    store = getattr(cert.nodes, "_store", None)
+    if store is None:
+        return _both(g, cert)
+    saved = store.verified, store.texts
+    store.verified, store.texts = set(), {}
+    try:
+        return _both(g, cert)
+    finally:
+        store.verified, store.texts = saved
 
 
 def _memo_walk(memo, key):
@@ -152,13 +138,14 @@ def _accepted_up_to(n_max, engine=None):
             for out in [engine.recognize(g)] if out.quasiperfect]
 
 
-def test_views_match_recomputation(tables):
+def test_views_match_recomputation():
     engine = RecognitionEngine()
+    store = engine._store
     pairs = _accepted_up_to(6, engine)
     assert len(pairs) == 202
     for g, cert in pairs:
         assert type(cert.nodes) is recognition._NodesView
-        walk = _memo_walk(engine._memo, cert.key)
+        walk = _memo_walk(store.memo, cert.key)
         assert list(cert.nodes.items()) == list(walk.items())  # the same order
         assert cert.nodes == walk and len(cert.nodes) == len(walk)
         doc = {"schema": "qpcert-v2", "key": cert.key.decode(), "order": list(cert.order),
@@ -166,22 +153,20 @@ def test_views_match_recomputation(tables):
                          for k, (pi, pk, a, b) in walk.items()}}
         check, text = _cold(g, cert)
         assert check and text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-        for _ in range(3):  # the second call of each is answered from the tables
+        for _ in range(3):  # the second call of each is answered from the store
             assert verify_certificate(g, cert) == check
             assert certificate_to_json(g, cert) == text
-        if cert.key != b"?":
-            root = cert.nodes[cert.key]
-            assert tables._verified[id(root)] is root
-            assert tables._texts[id(root)] == (root, json.dumps(
-                doc["nodes"], separators=(",", ":"), sort_keys=True))
-    # a later certificate of a class is a new view of the same memo, equal
-    # to the first and answered from the same tables
+        assert cert.key in store.verified or cert.key == b"?"
+        assert store.texts[cert.key] == json.dumps(
+            doc["nodes"], separators=(",", ":"), sort_keys=True)
+    # a later certificate of a class is a new view of the same store, equal
+    # to the first and answered from the same facts
     for (g, cert), (_, again) in zip(pairs, _accepted_up_to(6, engine)):
         assert again.nodes is not cert.nodes and again.nodes == cert.nodes
         assert _both(g, again) == _both(g, cert)
 
 
-def test_a_view_walks_nothing_until_read(tables):
+def test_a_view_walks_nothing_until_read():
     # verification and complementing read the store, not the view
     engine = RecognitionEngine()
     g, _ = _largest()
@@ -189,11 +174,11 @@ def test_a_view_walks_nothing_until_read(tables):
     assert cert.nodes._keys is None
     assert verify_certificate(g, cert) and complement_certificate(cert)
     assert cert.nodes._keys is None
-    assert len(cert.nodes) == len(_memo_walk(engine._memo, cert.key)) > 1
+    assert len(cert.nodes) == len(_memo_walk(engine._store.memo, cert.key)) > 1
     assert cert.nodes._keys is not None
 
 
-def test_engine_certificate_nodes_are_read_only(tables):
+def test_engine_certificate_nodes_are_read_only():
     cert = RecognitionEngine().recognize(parse_graph6("Ehf?")).certificate
     dual = complement_certificate(cert)
     for c in (cert, dual):
@@ -207,22 +192,22 @@ def test_engine_certificate_nodes_are_read_only(tables):
         cert.nodes[b"D~{"]
 
 
-def test_a_class_met_again_shares_one_mapping(tables):
+def test_a_class_met_again_shares_one_mapping():
     g = parse_graph6("Ehf?")
     engine = RecognitionEngine()
     first = engine.recognize(g).certificate
     copies = [g, permute(g, [5, 4, 3, 2, 1, 0])]
     second, third = (engine.recognize(h).certificate for h in copies)
-    assert first.nodes._store is second.nodes._store is third.nodes._store is engine._memo
+    assert first.nodes._store is second.nodes._store is third.nodes._store is engine._store
     assert second.nodes == first.nodes and second.nodes is not first.nodes
     for h, cert in zip(copies, (second, third)):
         assert verify_certificate(h, cert)
     duals = [complement_certificate(c) for c in (first, second, third)]
-    assert duals[0].nodes._store is duals[2].nodes._store is tables._duals
+    assert duals[0].nodes._store is duals[2].nodes._store is engine._store.dual
     assert all(d.nodes == duals[0].nodes for d in duals)
 
 
-def test_each_class_is_checked_once(tables, monkeypatch):
+def test_each_class_is_checked_once(monkeypatch):
     pairs = _accepted_up_to(6)
     duals = [(complement(g), complement_certificate(cert)) for g, cert in pairs]
     calls = _counted(monkeypatch, "_verify_node")
@@ -236,24 +221,25 @@ def test_each_class_is_checked_once(tables, monkeypatch):
     assert walks[0] == 0
 
 
-def test_a_bad_memo_node_fails_as_the_walk_does(tables, monkeypatch):
+def test_a_bad_memo_node_fails_as_the_walk_does(monkeypatch):
     # with the memo tampered at one node, or at every node below the root,
     # a view reports the (reason, node) of the walk over a dict copy; the
-    # tables are warmed first by every certificate that does not reach the
-    # tampered keys
+    # store's facts are warmed first by every certificate that does not
+    # reach the tampered keys
     engine = RecognitionEngine()
+    store = engine._store
     pairs = _accepted_up_to(6, engine)
     g, cert = max(pairs, key=lambda pair: len(pair[1].nodes))
     keys = list(cert.nodes)
     targets = [[k] for k in keys] + [keys[1:], keys[2::2]]
     for i, tampered in enumerate(targets):
-        for name in TABLES:
-            monkeypatch.setattr(recognition, name, {})
+        store.verified.clear()
+        store.texts.clear()
         with monkeypatch.context() as m:
             for k in tampered:
-                pi, pk, pi_child, pk_child = engine._memo[k]
+                pi, pk, pi_child, pk_child = store.memo[k]
                 bad = (0, pk, pi_child, pk_child) if i % 2 else (pi, 0, pi_child, pk_child)
-                m.setitem(engine._memo, k, bad)
+                m.setitem(store.memo, k, bad)
             for h, other in pairs:
                 if not set(tampered) & set(other.nodes):
                     assert verify_certificate(h, other)
@@ -264,13 +250,15 @@ def test_a_bad_memo_node_fails_as_the_walk_does(tables, monkeypatch):
     assert verify_certificate(g, cert)
 
 
-def test_double_complement_takes_the_dict_path(tables):
-    # a dual view is translated into a new dict, never into the dual store,
-    # whatever the store held before
+def test_double_complement_takes_the_dict_path():
+    # a dual view is translated into a new dict, never into the engine's
+    # dual store, whatever that store held before
     engine = RecognitionEngine()
     pairs = _accepted_up_to(6, engine)
     duals = [complement_certificate(cert) for _, cert in pairs]
-    held = dict(tables._duals)
+    dual_store = engine._store.dual
+    assert dual_store.dual is None
+    held = dict(dual_store.memo)
     for (g, cert), dual in zip(pairs, duals):
         back = complement_certificate(dual)
         assert type(back.nodes) is dict
@@ -278,7 +266,7 @@ def test_double_complement_takes_the_dict_path(tables):
         assert {k: v[2:] for k, v in back.nodes.items()} == \
             {k: v[2:] for k, v in cert.nodes.items()}
         assert verify_certificate(g, back)
-    assert tables._duals == held
+    assert dual_store.memo == held and engine._store.dual is dual_store
 
 
 def _largest():
@@ -286,14 +274,13 @@ def _largest():
     return max(_accepted_up_to(6), key=lambda pair: len(pair[1].nodes))
 
 
-def _kept(tables):
-    """_largest's class and a certificate of it, verified and written into the tables."""
+def _kept():
+    """_largest's class and a certificate of it, verified and written into its store."""
     g, _ = _largest()
     cert = RecognitionEngine().recognize(g).certificate
     assert verify_certificate(g, cert)
     certificate_to_json(g, cert)
-    root = cert.nodes[cert.key]
-    assert tables._verified[id(root)] is root and tables._texts[id(root)][0] is root
+    assert cert.key in cert.nodes._store.verified and cert.key in cert.nodes._store.texts
     return g, cert
 
 
@@ -333,10 +320,15 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _facts(store):
+    """Copies of what a store has learned: verified keys, texts, dual nodes."""
+    return set(store.verified), dict(store.texts), dict(store.dual.memo)
+
+
 @pytest.mark.parametrize("variant", list(CALLER_MADE))
-def test_caller_made_nodes_are_walked_and_written_anew(tables, monkeypatch, variant):
-    g, cert = _kept(tables)
-    held = {name: dict(getattr(tables, name)) for name in TABLES}
+def test_caller_made_nodes_are_walked_and_written_anew(monkeypatch, variant):
+    g, cert = _kept()
+    held = _facts(cert.nodes._store)
     build, reason, node = CALLER_MADE[variant]
     other = build(cert)
     walks, writes = _counted(monkeypatch, "_well_formed"), _counted(monkeypatch, "bit_members")
@@ -358,12 +350,12 @@ def test_caller_made_nodes_are_walked_and_written_anew(tables, monkeypatch, vari
             assert _both(g, other) == cold
             assert walks[0] > before[0] or reason == "undecodable-key"
             assert writes[0] > before[1]
-    # no caller-made certificate adds to or changes a table
-    assert {name: getattr(tables, name) for name in TABLES} == held
+    # no caller-made certificate adds to or changes a fact of the store
+    assert _facts(cert.nodes._store) == held
 
 
-def test_a_certificate_read_back_matches(tables):
-    g, cert = _kept(tables)
+def test_a_certificate_read_back_matches():
+    g, cert = _kept()
     text = certificate_to_json(g, cert)
     g2, cert2 = certificate_from_json(text)
     assert g2 == g and cert2.nodes == cert.nodes
@@ -374,21 +366,16 @@ def test_a_certificate_read_back_matches(tables):
             assert certificate_to_json(h, c) == text
 
 
-def test_full_tables_fall_back_to_the_walk(tables, monkeypatch):
-    monkeypatch.setattr(recognition, "_TABLE_MAX", 0)
-    pairs = _accepted_up_to(6)
+def test_engines_share_no_certificate_facts(monkeypatch):
+    # a second engine verifies every class of its own store, engine node
+    # and dual node alike, and translates its own duals, whatever another
+    # engine learned of the same classes first
+    for g, cert in _accepted_up_to(6):
+        assert verify_certificate(g, cert)
+        assert verify_certificate(complement(g), complement_certificate(cert))
     calls = _counted(monkeypatch, "_verify_node")
-    for g, cert in pairs:
-        dual = complement_certificate(cert)
-        assert dual == _dict_complement(cert)
-        assert type(dual.nodes) is dict or cert.key == b"?"
-        cold = _cold(g, replace(cert, nodes=dict(cert.nodes)))
-        before = calls[0]
-        for _ in range(2):  # every node is checked on every call
-            assert _both(g, cert) == cold
-        assert calls[0] - before == 2 * len(cert.nodes)
-    assert not any(getattr(tables, name) for name in TABLES)
-
-
-def _dict_complement(cert):
-    return complement_certificate(replace(cert, nodes=dict(cert.nodes)))
+    translated = _counted(monkeypatch, "_complement_node")
+    for g, cert in _accepted_up_to(6):
+        assert verify_certificate(g, cert)
+        assert verify_certificate(complement(g), complement_certificate(cert))
+    assert calls[0] == 2 * 201 and translated[0] == 201

@@ -37,7 +37,6 @@ from qpkit.recognition import (
     RecognitionEngine,
     RecognitionLimitError,
     _complement_form,
-    _complement_node,
     _verify_node,
     certificate_from_json,
     certificate_to_json,
@@ -658,13 +657,12 @@ class TestCertificateProperties:
         assert accepted == (name != "C5[2]")  # C5[2] has omega 4 < chi 5
 
 
-def _clear_memos(monkeypatch):
-    """Cold node memos, and empty certificate tables until the test ends."""
+def _clear_memos(monkeypatch, store):
+    """Cold node memos, and no verified keys or texts in store until the test ends."""
     _verify_node.cache_clear()
     _complement_form.cache_clear()
-    _complement_node.cache_clear()
-    for name in ("_verified", "_duals", "_texts"):
-        monkeypatch.setattr(recognition, name, {})
+    monkeypatch.setattr(store, "verified", set())
+    monkeypatch.setattr(store, "texts", {})
 
 
 def _translate_unmemoized(cert):
@@ -705,14 +703,16 @@ class TestVerificationMemo:
                             verify_certificate(complement(g), dual)))
             return out
 
-        answers()  # fills both memos
+        answers()  # fills the memos and the engine's store
         warm = answers()
+        store = eng._store
         for (g, cert), (dual, chk, dual_chk) in zip(certs, warm):
-            _clear_memos(monkeypatch)
+            _clear_memos(monkeypatch, store)
+            monkeypatch.setattr(store, "dual", recognition._Store())  # no dual node yet
             assert complement_certificate(cert) == dual
-            _clear_memos(monkeypatch)
+            _clear_memos(monkeypatch, store)
             assert verify_certificate(g, cert) == chk
-            _clear_memos(monkeypatch)
+            _clear_memos(monkeypatch, dual.nodes._store)
             assert verify_certificate(complement(g), dual) == dual_chk
             assert chk and dual_chk
 
