@@ -12,6 +12,11 @@ search, and the process's peak resident set size go to standard error.
 The exit status is the command's, or 1 when a memo has reached its
 maxsize: a memo that evicts during a sweep, or a table that stops
 growing, does not fit the sweep it serves.
+
+The memos are those of labeling, key decoding and maximum cliques.
+Recognition keeps none: its verdicts and certificate facts live in each
+engine's store, bounded by the engine's memo capacity
+(``MemoCapacityError``), and leave with the engine.
 """
 
 import resource

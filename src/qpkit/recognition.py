@@ -31,7 +31,8 @@ a read-only view of the memo, made without a walk.  What is learned of a
 view is kept per class in the engine's store (_Store), beside the memo:
 that a node and all it reaches verify, the dual node complement_certificate
 makes of it, and the JSON text of the nodes under a root.  Certificates
-made any other way are walked in full on every call.
+made any other way are walked in full on every call.  The store is the
+only place such facts live: this module keeps no process-wide memo.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import json
 import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .canonical import canonical_form, canonical_key, key_graph
 from .graphs import (
@@ -243,12 +243,11 @@ _PK_REASONS = {
 }
 
 
-@lru_cache(maxsize=1 << 16)
 def _verify_node(key: bytes, node: Node) -> CertificateCheck:
     """Every clause of one node, on the graph its key decodes to.
 
-    A pure function of (key, node), memoized per process on both, so a
-    node that differs from a checked one in any field is checked anew.
+    A pure function of (key, node), computed anew on every call; the
+    walk of verify_certificate decides which nodes reach it.
     """
     pi, pk, pi_child, pk_child = node
     h = _decode(key)
@@ -285,8 +284,8 @@ class _Store:
     the engine stores only on a miss, and _translate only when the key is
     absent.  So each fact below is filed under a class key and stays true
     of that key's entry:
-      verified: the keys whose node passed _verify_node together with
-          every node it reaches;
+      verified: the keys whose node passed verify_certificate's walk
+          together with every node it reaches;
       texts: root key -> the "nodes" member certificate_to_json wrote for
           the view of that root;
       dual: the store complement_certificate fills, the dual node of each
@@ -362,61 +361,35 @@ def _view_of(cert: QpCertificate) -> _NodesView | None:
     return None
 
 
-def _verify_view(view: _NodesView) -> CertificateCheck:
-    """The walk of verify_certificate for a view, skipping the store's verified keys.
-
-    A view maps each key it reaches to one node and cannot miss a node or
-    hold an unreachable one, and the engine and complement_certificate
-    make only (int, int, bytes, bytes) nodes, so the view is valid
-    exactly when every reachable node passes _verify_node.  The recursion
-    is the walk's pre-order, pk_child first.  A verified key's node
-    passed, and so did everything it reaches; skipping it changes no
-    outcome, nor which node fails first: no failing node is reachable
-    from it, so the first path to a failing node passes through no
-    skipped node.  A key is marked verified only after every node it
-    reaches passed.  The recursion enters a node's children only after
-    the node passed, so they have fewer vertices than it; a key met
-    twice was therefore verified at its first meeting, or the walk has
-    already stopped.
-    """
-    memo, verified = view._store.memo, view._store.verified
-
-    def visit(key: bytes) -> CertificateCheck | None:
-        if key == _K0_KEY or key in verified:
-            return None
-        node = memo[key]
-        check = _verify_node(key, node)
-        if not check:
-            return check
-        for child in (node[3], node[2]):
-            failure = visit(child)
-            if failure is not None:
-                return failure
-        verified.add(key)
-        return None
-
-    failure = visit(view._root)
-    return CertificateCheck(True) if failure is None else failure
-
-
 def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     """Re-derive every clause of the certificate; no recognition memo involved.
 
     Each node reachable from the root is checked on the graph its key
     decodes to, and each child key must be the canonical key of the
-    residue it names.  Each distinct (key, node) pair is checked once per
-    process: a later occurrence, in this certificate or another, reuses
-    that result.
+    residue it names.
 
     The order must hold each of 0..n-1 once, each an exact int, as
     certificate_from_json demands too: a float or a bool compares equal to
-    an int but cannot relabel a vertex.
+    an int but cannot relabel a vertex.  The order and the root are
+    checked on every call.
 
-    The order and the root are checked on every call.  The nodes of a
-    certificate from RecognitionEngine.recognize or complement_certificate
-    are a view of an engine's store, and each class of a store is checked
-    once (_verify_view gives the proof); any other mapping is walked in
-    full.
+    The nodes are checked by one recursive pre-order walk, pk_child
+    first, that reports a missing node, a node that is not (int, int,
+    bytes, bytes), or the first clause a node breaks.  The walk skips the
+    keys of a verified set and adds a key to it only after every node the
+    key reaches passed.  For a view of an engine's store the set is the
+    store's verified, so each class of a store is checked once; for any
+    other mapping it is a new set, so each key is checked once per call.
+    Skipping changes no outcome, nor which node fails first: a verified
+    key's node passed and so did everything it reaches, so the first path
+    to a failing node passes through no skipped node.  The walk ends: a
+    node that passes _verify_node has children whose keys decode to
+    graphs on fewer vertices than its own, so the nodes that pass form no
+    cycle, every path of the walk loses a vertex per step, and the depth
+    is at most n.  A key met twice was therefore verified at its first
+    meeting, or the walk has already stopped.  After the walk, a mapping
+    whose nodes the root does not all reach fails "unreachable-node"; a
+    view holds only reachable nodes.
 
     The root key is not relabeled to confirm it is canonical: the proof
     does not need it, since the order must map the root's graph onto g
@@ -430,19 +403,24 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
     root = _decode(cert.key)
     if root is None:
         return _fail("undecodable-key", cert.key)
-    if root.n != g.n or permute(root, order) != g:
+    if root.n != g.n:
         return _fail("root-mismatch")
+    for p, row in enumerate(root.adj):  # slot p's row through order must be order[p]'s
+        mapped = 0
+        while row:
+            low = row & -row
+            row ^= low
+            mapped |= 1 << order[low.bit_length() - 1]
+        if mapped != g.adj[order[p]]:
+            return _fail("root-mismatch")
     view = _view_of(cert)
-    if view is not None:
-        return _verify_view(view)
-    seen: set[bytes] = set()
-    stack = [cert.key]
-    while stack:
-        key = stack.pop()
-        if key == _K0_KEY or key in seen:
-            continue
-        seen.add(key)
-        node = cert.nodes.get(key)
+    nodes = cert.nodes if view is None else view._store.memo
+    verified = set() if view is None else view._store.verified
+
+    def visit(key: bytes) -> CertificateCheck | None:
+        if key == _K0_KEY or key in verified:
+            return None
+        node = nodes.get(key)
         if node is None:
             return _fail("missing-node", key)
         if not _well_formed(node):
@@ -451,9 +429,18 @@ def verify_certificate(g: Graph, cert: QpCertificate) -> CertificateCheck:
         check = _verify_node(key, node)
         if not check:
             return check
-        stack += node[2:]
-    if len(seen) != len(cert.nodes):
-        return _fail("unreachable-node", next(k for k in cert.nodes if k not in seen))
+        for child in (node[3], node[2]):
+            failure = visit(child)
+            if failure is not None:
+                return failure
+        verified.add(key)
+        return None
+
+    failure = visit(cert.key)
+    if failure is not None:
+        return failure
+    if view is None and len(verified) != len(nodes):
+        return _fail("unreachable-node", next(k for k in nodes if k not in verified))
     return CertificateCheck(True)
 
 
@@ -485,7 +472,6 @@ def coloring_from_certificate(g: Graph, cert: QpCertificate) -> dict[int, int]:
     return colors
 
 
-@lru_cache(maxsize=1 << 16)
 def _complement_form(key: bytes) -> tuple[bytes, tuple[int, ...]]:
     """canonical_form of the complement of the graph key decodes to."""
     if key == _K0_KEY:
@@ -501,28 +487,36 @@ def _to_canonical(mask: int, order: tuple[int, ...]) -> int:
     return sum(1 << p for p, v in enumerate(order) if mask >> v & 1)
 
 
-def _complement_node(key: bytes, node: Node) -> tuple[bytes, Node]:
-    """The complement class's key and node for one (key, node) pair."""
-    pi, pk, pi_child, pk_child = node
-    new_key, order = _complement_form(key)
-    return new_key, (_to_canonical(pk, order), _to_canonical(pi, order),
-                     _complement_form(pk_child)[0], _complement_form(pi_child)[0])
+def _complement_node(node: Node, order: tuple[int, ...], pi_child: bytes,
+                     pk_child: bytes) -> Node:
+    """node's dual in the complement class, whose canonical order is order.
 
-
-def _translate(store: _Store, key: bytes) -> None:
-    """Put the dual of key's class, and of every class it reaches, in store.dual.
-
-    Each entry goes in after those of its children, and only when its key
-    is absent, so every key in the dual store reaches only keys in it.
+    pi and pk swap roles and move into the complement's canonical slots;
+    pi_child and pk_child are the dual's children: the complement keys of
+    node's pk_child and pi_child.
     """
+    pi, pk, _, _ = node
+    return _to_canonical(pk, order), _to_canonical(pi, order), pi_child, pk_child
+
+
+def _translate(store: _Store, key: bytes) -> tuple[bytes, tuple[int, ...]]:
+    """The complement key and order of key's class; its dual goes into store.dual.
+
+    The dual of key's class, and of every class it reaches, is put in the
+    dual store, each entry after those of its children and only when its
+    key is absent, so every key in the dual store reaches only keys in
+    it.  Each call labels key's complement once, and the caller (a root's
+    certificate, or the parent's dual node) takes key and order from the
+    return value.
+    """
+    new_key, order = _complement_form(key)
     dual = store.dual.memo
-    if key == _K0_KEY or _complement_form(key)[0] in dual:
-        return
-    node = store.memo[key]
-    _translate(store, node[3])
-    _translate(store, node[2])
-    new_key, new_node = _complement_node(key, node)
-    dual[new_key] = new_node
+    if key != _K0_KEY and new_key not in dual:
+        node = store.memo[key]
+        pi_child = _translate(store, node[3])[0]
+        pk_child = _translate(store, node[2])[0]
+        dual[new_key] = _complement_node(node, order, pi_child, pk_child)
+    return new_key, order
 
 
 def complement_certificate(cert: QpCertificate) -> QpCertificate:
@@ -534,25 +528,27 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     with pi and pk swapped and moved into that class's canonical slots.
 
     The nodes of an engine certificate are translated into the engine's
-    dual store, once per class, and the result is a view of it.  Any
-    other mapping, a view of a dual store included, is translated into a
-    new dict: two translations of one class may differ by an automorphism,
-    and a store keeps one per key.  A node that is not (int, int, bytes,
-    bytes) raises InvalidCertificateError("malformed-node").
+    dual store, once per class, and the result is a view of it; the key
+    and order come from _translate of the root.  Any other mapping, a
+    view of a dual store included, is translated into a new dict, each
+    complement labeled anew: two translations of one class may differ by
+    an automorphism, and a store keeps one per key.  A node that is not
+    (int, int, bytes, bytes) raises InvalidCertificateError("malformed-node").
     """
     view = _view_of(cert)
     nodes: Mapping[bytes, Node]
     if view is not None and view._store.dual is not None:
-        _translate(view._store, view._root)
-        nodes = _NodesView(view._store.dual, _complement_form(view._root)[0])
+        new_key, order = _translate(view._store, view._root)
+        nodes = _NodesView(view._store.dual, new_key)
     else:
         nodes = translated = {}
         for key, node in cert.nodes.items():
             if not _well_formed(node):
                 raise InvalidCertificateError("malformed-node", repr(key))
-            new_key, new_node = _complement_node(key, tuple(node))
-            translated[new_key] = new_node
-    new_key, order = _complement_form(cert.key)
+            node_key, node_order = _complement_form(key)
+            translated[node_key] = _complement_node(
+                node, node_order, _complement_form(node[3])[0], _complement_form(node[2])[0])
+        new_key, order = _complement_form(cert.key)
     return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
 

@@ -318,8 +318,9 @@ class TestMemoUsage:
         assert code == 0
         assert json.loads(out.out)["graphs_scanned"] == 8
         for name in ("canonical.canonical_form", "canonical.key_graph",
-                     "invariants._maximum_cliques", "recognition._verify_node"):
+                     "invariants._maximum_cliques"):
             assert f"qpkit.{name}: CacheInfo(" in out.err
+        assert "qpkit.recognition." not in out.err  # certificate facts live in stores
         assert "qpkit.canonical._known_codes: set(maxsize=65536, currsize=" in out.err
         assert "qpkit.canonical._enumerated: dict(maxsize=65536, currsize=" in out.err
         assert "peak RSS: " in out.err

@@ -126,19 +126,24 @@ class TestWorkCounts:
     The probe prints the exit code, the labeling searches
     (_canonical_refined calls), the refinements (_refine calls), the node
     shape tests of the certificate walk (_well_formed calls), the node
-    checks (_verify_node calls) and the canonical_form cache misses.  The
-    CI python310 job runs the same probe.  Before engine certificates were
-    views of the memo and enumerated graphs were answered without a
-    search, they read 4629, 9341, 24632, 12316 and 4420: every theorem2
-    certificate was walked node by node, twice, and theorem1 labeled 686
-    key graphs anew.
+    checks (_verify_node calls), the complement labelings of dual
+    certificates (_complement_form calls) and the canonical_form cache
+    misses.  The CI python310 job runs the same probe.  Before engine
+    certificates were views of the memo and enumerated graphs were
+    answered without a search, the first five counts and the misses read
+    4629, 9341, 24632, 12316 and 4420: every theorem2 certificate was
+    walked node by node, twice, and theorem1 labeled 686 key graphs anew.
+    While _complement_form was memoized per process, _translate asked it
+    again for each root and each child key, 9516 calls in all, and the
+    walk of a view tested no node's shape (0 _well_formed calls).
     """
 
     PROBE = (
         "import collections, os; from qpkit import canonical, cli, recognition; "
         "calls = collections.Counter(); "
         "names = [(canonical, '_canonical_refined'), (canonical, '_refine'), "
-        "(recognition, '_well_formed'), (recognition, '_verify_node')]; "
+        "(recognition, '_well_formed'), (recognition, '_verify_node'), "
+        "(recognition, '_complement_form')]; "
         "wrap = lambda mod, name, inner: setattr("
         "mod, name, lambda *a: (calls.update([name]), inner(*a))[1]); "
         "[wrap(mod, name, getattr(mod, name)) for mod, name in names]; "
@@ -150,7 +155,7 @@ class TestWorkCounts:
     def test_verify_all_to_seven(self):
         proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
                               text=True, check=True)
-        assert proc.stdout.split() == ["0", "3943", "8139", "0", "1191", "4420"]
+        assert proc.stdout.split() == ["0", "3943", "8139", "1191", "1191", "3574", "4420"]
 
 
 class TestClassCensus:

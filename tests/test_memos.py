@@ -30,9 +30,7 @@ from qpkit.invariants import (
 )
 from qpkit.recognition import (
     RecognitionEngine,
-    _complement_form,
     complement_certificate,
-    _verify_node,
     certificate_from_json,
     certificate_to_json,
     is_prime_independent_set,
@@ -65,21 +63,6 @@ def test_graph_memos_match_recomputation(rng):
             assert independence_number(g) == oracles.oracle_omega(g.n, co_edges)
             assert _maximum_cliques(g) == _maximum_cliques.__wrapped__(g)
             assert canonical_form(g) == canonical_form.__wrapped__(g)
-
-
-def test_certificate_memos_match_recomputation(rng):
-    engine = RecognitionEngine(limit=10)
-    checked = 0
-    for g in _random_graphs(rng):
-        out = engine.recognize(g)
-        if not out.quasiperfect:
-            continue
-        for key, node in out.certificate.nodes.items():
-            for _ in range(2):
-                assert _verify_node(key, node) == _verify_node.__wrapped__(key, node)
-                assert _complement_form(key) == _complement_form.__wrapped__(key)
-            checked += 1
-    assert checked > 20
 
 
 def test_mutating_a_returned_clique_list_changes_no_later_answer():
@@ -215,10 +198,11 @@ def test_each_class_is_checked_once(monkeypatch):
     for _ in range(2):
         for h, cert in pairs + duals:
             assert verify_certificate(h, cert)
-    # each class once as an engine node and once as a dual node
+    # each class once as an engine node and once as a dual node, each
+    # shape-tested by the walk that checks it
     assert calls[0] == len({k for _, c in pairs for k in c.nodes}) + \
         len({k for _, c in duals for k in c.nodes}) == 2 * 201
-    assert walks[0] == 0
+    assert walks[0] == calls[0]
 
 
 def test_a_bad_memo_node_fails_as_the_walk_does(monkeypatch):

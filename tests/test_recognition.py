@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_graph
 from qpkit import harness, recognition
-from qpkit.canonical import canonical_form, canonical_key, key_graph
+from qpkit.canonical import automorphism_generators, canonical_form, canonical_key, key_graph
 from qpkit.families import FamilySpec, odd_cycle_family, replicate
 from qpkit.graphs import (
     bit_members,
@@ -36,8 +36,6 @@ from qpkit.recognition import (
     QpCertificate,
     RecognitionEngine,
     RecognitionLimitError,
-    _complement_form,
-    _verify_node,
     certificate_from_json,
     certificate_to_json,
     coloring_from_certificate,
@@ -349,6 +347,43 @@ class TestCertificates:
         chk = verify_certificate(g, replace(cert, order=tuple(order)))
         assert chk.reason == "root-mismatch"
 
+    def test_verify_rejects_root_mismatch_in_the_last_edge(self):
+        # g differs from the relabeled root only in the edge between the
+        # root's last two slots, so every row but the last two matches
+        g, cert = self._family_cert()
+        u, v = sorted(cert.order[-2:])
+        edges = set(g.edges()) ^ {(u, v)}
+        chk = verify_certificate(from_edges(g.n, edges), cert)
+        assert (chk.ok, chk.reason) == (False, "root-mismatch")
+
+    def test_verify_rejects_root_of_another_vertex_count(self):
+        # the order is a permutation of g's vertices, but the root key's
+        # graph has one vertex more
+        g, cert = self._family_cert()
+        bigger = canonical_key(from_edges(g.n + 1, g.edges()))
+        chk = verify_certificate(g, replace(cert, key=bigger))
+        assert (chk.ok, chk.reason) == (False, "root-mismatch")
+
+    def test_verify_accepts_order_composed_with_automorphism(self):
+        # slot p moved to order[gamma[p]], for an automorphism gamma of the
+        # root's graph, still gives g
+        g, cert = self._family_cert()
+        gammas = [gamma for gamma in automorphism_generators(key_graph(cert.key))
+                  if gamma != list(range(g.n))]
+        assert gammas
+        for gamma in gammas:
+            moved = tuple(cert.order[gamma[p]] for p in range(g.n))
+            assert moved != cert.order
+            assert verify_certificate(g, replace(cert, order=moved))
+
+    def test_verify_stops_on_a_cycle(self):
+        # an inner node naming the root as its pi_child fails its own check
+        # before the walk follows the edge back, so the walk ends
+        g, cert = self._family_cert()
+        inner = self._inner_key(cert)
+        chk = verify_certificate(g, _with_node(cert, inner, pi_child=cert.key))
+        assert (chk.ok, chk.reason, chk.node) == (False, "pi-child-mismatch", inner)
+
     def test_verify_rejects_missing_node(self):
         g, cert = self._family_cert()
         inner = self._inner_key(cert)
@@ -400,7 +435,7 @@ class TestCertificates:
 
     def test_node_memo_keyed_on_content(self):
         # a tampered node that shares its key with a verified one is checked
-        # in full, not answered from the memo entry of the verified node
+        # in full, not answered from what is known of the verified node
         g, cert = self._family_cert()
         inner = self._inner_key(cert)
         pi, pk, pi_child, _ = cert.nodes[cert.key]
@@ -414,10 +449,8 @@ class TestCertificates:
             _with_node(cert, inner, pk_child=inner),
         ]
         for tampered in variants:
-            _verify_node.cache_clear()
             assert verify_certificate(g, cert)
             warm = verify_certificate(g, tampered)
-            _verify_node.cache_clear()
             cold = verify_certificate(g, tampered)
             assert not cold.ok
             assert (warm.reason, warm.node) == (cold.reason, cold.node)
@@ -658,9 +691,7 @@ class TestCertificateProperties:
 
 
 def _clear_memos(monkeypatch, store):
-    """Cold node memos, and no verified keys or texts in store until the test ends."""
-    _verify_node.cache_clear()
-    _complement_form.cache_clear()
+    """No verified keys or texts in store until the test ends."""
     monkeypatch.setattr(store, "verified", set())
     monkeypatch.setattr(store, "texts", {})
 
@@ -686,7 +717,7 @@ def _translate_unmemoized(cert):
 class TestVerificationMemo:
     def test_warm_and_cold_memos_agree(self, monkeypatch):
         # every accepted class with n <= 7 and its complement certificate:
-        # the memos answer exactly as a cold check does
+        # the engine's store answers exactly as a cold check does
         eng = RecognitionEngine()
         certs = []
         for n in range(8):
@@ -703,7 +734,7 @@ class TestVerificationMemo:
                             verify_certificate(complement(g), dual)))
             return out
 
-        answers()  # fills the memos and the engine's store
+        answers()  # fills the engine's store
         warm = answers()
         store = eng._store
         for (g, cert), (dual, chk, dual_chk) in zip(certs, warm):
