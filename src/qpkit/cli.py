@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .families import FamilySpec, c5_blowup_with_apex, family_prime_clique, \
+from .families import FamilyGraph, FamilySpec, c5_blowup_with_apex, family_prime_clique, \
     family_prime_independent_set, odd_cycle_family
 from .graphs import Graph, GraphFormatError, bit_members, emit_graph6, \
     parse_edge_list, parse_graph6
@@ -107,7 +107,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_construct_spec(words: list[str]) -> Graph | tuple:
+def _parse_construct_spec(words: list[str]) -> Graph | FamilyGraph:
     if not words:
         raise ValueError("empty construction spec")
     kind, params = words[0], {}
@@ -198,6 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default="graph6")
         p.add_argument("--out", default=None, help="write output to a file")
 
+    def add_sweep(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n-max", type=int, default=6)
+        p.add_argument("--threads", type=_thread_count, default=1)
+        p.add_argument("--out", default=None)
+
     p = sub.add_parser("classify", help="invariants plus recognition verdict")
     add_io(p)
     p.add_argument("--cert-out", default=None,
@@ -212,16 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=(*SUITES, "all"))
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--threads", type=_thread_count, default=1)
-    p.add_argument("--out", default=None)
+    add_sweep(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("survey", help="run reporting-only sweeps")
     p.add_argument("survey", choices=tuple(SURVEYS))
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--threads", type=_thread_count, default=1)
-    p.add_argument("--out", default=None)
+    add_sweep(p)
     p.set_defaults(fn=_cmd_survey)
 
     p = sub.add_parser("supergraph", help="search for a quasiperfect extension")

@@ -11,7 +11,7 @@ import functools
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .canonical import automorphism_generators, canonical_key, key_graph, register_enumerated
 from .graphs import (
@@ -46,9 +46,6 @@ from .recognition import (
 REPORT_SCHEMA = "qpreport-v1"
 ENUMERATION_LIMIT = 8
 
-RECORD_FIELDS = ("graph6", "key", "n", "m", "omega", "alpha", "chi",
-                 "perfect", "quasiperfect", "cert_ref")
-
 
 class ClassificationInvariantError(RuntimeError):
     """A record claimed quasiperfect with unequal clique and chromatic numbers."""
@@ -68,7 +65,7 @@ class ClassificationRecord:
     cert_ref: str | None = None
 
     def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in RECORD_FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_classification_record(
@@ -257,18 +254,28 @@ def _sweep(n_max: int, item, threads: int) -> tuple[list[Graph], list]:
         return graphs, pool.map(item, graphs, chunksize=chunk)
 
 
+def _report(suite: str, n_max: int, item, summary, config: dict) -> SuiteReport:
+    """The timed sweep of item, reported with summary(graphs, results).
+
+    summary returns (violations, findings): the graph6 of each graph that
+    breaks an asserted claim, and a survey's findings or None.
+    """
+    t0 = time.perf_counter()
+    graphs, results = _sweep(n_max, item, config["threads"])
+    violations, findings = summary(graphs, results)
+    return SuiteReport(suite=suite, n_max=n_max, graphs_scanned=len(graphs),
+                       violations=violations, config=config, findings=findings,
+                       runtime_seconds=time.perf_counter() - t0)
+
+
+def _violations(graphs: list[Graph], oks: list[bool]) -> tuple[list[str], None]:
+    return [emit_graph6(g) for g, ok in zip(graphs, oks) if not ok], None
+
+
 def _assertion(suite: str, n_max: int, item, threads: int, config: dict) -> SuiteReport:
     """A suite whose item returns False for a graph that violates its claim."""
-    t0 = time.perf_counter()
-    graphs, oks = _sweep(n_max, item, threads)
-    return SuiteReport(
-        suite=suite,
-        n_max=n_max,
-        graphs_scanned=len(graphs),
-        violations=[emit_graph6(g) for g, ok in zip(graphs, oks) if not ok],
-        config={"mode": "pure", "reading": "conjunctive", "threads": threads, **config},
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report(suite, n_max, item, _violations,
+                   {"mode": "pure", "reading": "conjunctive", "threads": threads, **config})
 
 
 def _pure_quasiperfect(g: Graph) -> bool:
@@ -363,51 +370,37 @@ def verify_perfect_subset(n_max: int, *, threads: int = 1) -> SuiteReport:
                       {"perfection_limit": DEFAULT_PERFECTION_LIMIT})
 
 
-def color_class_removal_survey(n_max: int, *, threads: int = 1) -> SuiteReport:
-    """Does removing any colour class of an optimal colouring preserve acceptance?
-
-    Classes are counted once per orbit under Aut(g); each counterexample
-    names the smallest mask of its orbit.  Findings never fail the run.
-    """
-    t0 = time.perf_counter()
-    graphs, results = _sweep(n_max, _removal_item, threads)
+def _removal_findings(graphs: list[Graph], results: list) -> tuple[list[str], dict]:
     accepted = [(g, rows) for g, rows in zip(graphs, results) if rows is not None]
-    findings = {
+    return [], {
         "graphs_quasiperfect": len(accepted),
         "classes_checked": sum(len(rows) for _, rows in accepted),
         "classes_preserving": sum(ok for _, rows in accepted for _, ok in rows),
         "counterexamples": [{"graph6": emit_graph6(g), "class": bit_members(s)}
                             for g, rows in accepted for s, ok in rows if not ok],
     }
-    return SuiteReport(
-        suite="color-removal",
-        n_max=n_max,
-        graphs_scanned=len(graphs),
-        violations=[],
-        config={"mode": "pure", "reading": "conjunctive", "threads": threads},
-        findings=findings,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+
+
+def color_class_removal_survey(n_max: int, *, threads: int = 1) -> SuiteReport:
+    """Does removing any colour class of an optimal colouring preserve acceptance?
+
+    Classes are counted once per orbit under Aut(g); each counterexample
+    names the smallest mask of its orbit.  Findings never fail the run.
+    """
+    return _report("color-removal", n_max, _removal_item, _removal_findings,
+                   {"mode": "pure", "reading": "conjunctive", "threads": threads})
+
+
+def _divergence_findings(graphs: list[Graph], results: list) -> tuple[list[str], dict]:
+    diverging = [{"graph6": emit_graph6(g), "conjunctive": conj, "disjunctive": disj}
+                 for g, (conj, disj) in zip(graphs, results) if conj != disj]
+    return [], {"diverging": diverging, "count": len(diverging)}
 
 
 def reading_divergence_survey(n_max: int, *, threads: int = 1) -> SuiteReport:
     """Where do the one-sided and two-sided readings of the definition differ?"""
-    t0 = time.perf_counter()
-    graphs, results = _sweep(n_max, _divergence_item, threads)
-    diverging = [
-        {"graph6": emit_graph6(g), "conjunctive": conj, "disjunctive": disj}
-        for g, (conj, disj) in zip(graphs, results)
-        if conj != disj
-    ]
-    return SuiteReport(
-        suite="reading-divergence",
-        n_max=n_max,
-        graphs_scanned=len(graphs),
-        violations=[],
-        config={"mode": "pure", "threads": threads},
-        findings={"diverging": diverging, "count": len(diverging)},
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report("reading-divergence", n_max, _divergence_item, _divergence_findings,
+                   {"mode": "pure", "threads": threads})
 
 
 SUITES = {

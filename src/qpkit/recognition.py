@@ -37,6 +37,7 @@ only place such facts live: this module keeps no process-wide memo.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from collections.abc import Iterable, Iterator, Mapping
@@ -183,10 +184,10 @@ class QpCertificate:
     masks over the graph that key decodes to, and the keys of the two
     residues.  The empty graph has key "?" and no node.
 
-    A certificate from RecognitionEngine.recognize or from
-    complement_certificate holds its nodes in a read-only view of the
-    engine's store (and keeps it alive); copy it with dict(cert.nodes) to
-    build a variant.
+    A certificate from RecognitionEngine.recognize, or complement_certificate
+    of one, holds its nodes in a read-only view of one of the engine's
+    stores (and keeps it alive); copy it with dict(cert.nodes) to build a
+    variant.
     """
 
     key: bytes
@@ -288,8 +289,8 @@ class _Store:
           together with every node it reaches;
       texts: root key -> the "nodes" member certificate_to_json wrote for
           the view of that root;
-      dual: the store complement_certificate fills, the dual node of each
-          class under its complement key; None in a dual store itself.
+      dual: the engine's other store (each is the other's dual), holding
+          the dual node of each class under its complement key.
     Every fact belongs to a memo entry (a dual entry to the accepted entry
     it translates), so DEFAULT_MEMO_CAPACITY bounds them all.
     """
@@ -300,7 +301,7 @@ class _Store:
         self.memo: dict[bytes, bool | Node] = {}
         self.verified: set[bytes] = set()
         self.texts: dict[bytes, str] = {}
-        self.dual = dual
+        self.dual = _Store(self) if dual is None else dual
 
 
 class _NodesView(Mapping):
@@ -507,7 +508,7 @@ def _translate(store: _Store, key: bytes) -> tuple[bytes, tuple[int, ...]]:
     key is absent, so every key in the dual store reaches only keys in
     it.  Each call labels key's complement once, and the caller (a root's
     certificate, or the parent's dual node) takes key and order from the
-    return value.
+    return value.  A dual store's complements are all in the engine store.
     """
     new_key, order = _complement_form(key)
     dual = store.dual.memo
@@ -527,28 +528,30 @@ def complement_certificate(cert: QpCertificate) -> QpCertificate:
     complementation, so each node maps to the complement of its class
     with pi and pk swapped and moved into that class's canonical slots.
 
-    The nodes of an engine certificate are translated into the engine's
-    dual store, once per class, and the result is a view of it; the key
-    and order come from _translate of the root.  Any other mapping, a
-    view of a dual store included, is translated into a new dict, each
-    complement labeled anew: two translations of one class may differ by
+    The nodes of a view are translated into the dual of its store, once
+    per class, and the result is a view of that dual (the engine store,
+    for a dual view); key and order come from _translate of the root.
+    Any other mapping is translated into a new dict, labeling each key's
+    complement once per call: two translations of one class may differ by
     an automorphism, and a store keeps one per key.  A node that is not
     (int, int, bytes, bytes) raises InvalidCertificateError("malformed-node").
     """
     view = _view_of(cert)
     nodes: Mapping[bytes, Node]
-    if view is not None and view._store.dual is not None:
+    if view is not None:
         new_key, order = _translate(view._store, view._root)
         nodes = _NodesView(view._store.dual, new_key)
     else:
+        form = functools.cache(_complement_form)  # a table local to this call
         nodes = translated = {}
         for key, node in cert.nodes.items():
             if not _well_formed(node):
                 raise InvalidCertificateError("malformed-node", repr(key))
-            node_key, node_order = _complement_form(key)
+            node_key, node_order = form(key)
             translated[node_key] = _complement_node(
-                node, node_order, _complement_form(node[3])[0], _complement_form(node[2])[0])
-        new_key, order = _complement_form(cert.key)
+                node, node_order, form(node[3])[0], form(node[2])[0])
+        # a bytearray key, unhashable, is labeled outside the table and fails
+        new_key, order = (form if type(cert.key) is bytes else _complement_form)(cert.key)
     return QpCertificate(new_key, tuple(cert.order[v] for v in order), nodes)
 
 
@@ -678,7 +681,7 @@ class RecognitionEngine:
         if mode not in ("pure", "accelerated"):
             raise ValueError(f"unknown mode {mode!r}")
         self.limit = limit
-        self._store = _Store(_Store())
+        self._store = _Store()
         self._nodes = 0
         self._hits = 0
 

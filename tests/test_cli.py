@@ -15,7 +15,7 @@ from qpkit.graphs import cycle_graph, emit_graph6, empty_graph
 from qpkit.harness import ALL_SUITES, SuiteReport
 from qpkit.recognition import certificate_from_json, verify_certificate
 
-C5 = emit_graph6(cycle_graph(5))  # DUW
+C5 = emit_graph6(cycle_graph(5))  # Dhc
 
 
 def run(argv, stdin="", monkeypatch=None, capsys=None):
@@ -35,6 +35,10 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["quasiperfect"] is False
         assert doc["omega"] == 2 and doc["chi"] == 3
+        # the record's members in the order of its fields
+        assert out == ('{"graph6": "Dhc", "key": "DLo", "n": 5, "m": 5, "omega": 2, '
+                       '"alpha": 2, "chi": 3, "perfect": false, "quasiperfect": false, '
+                       '"cert_ref": null}\n')
 
     def test_k0(self, monkeypatch, capsys):
         code, out = run(["classify", "-"], "?", monkeypatch, capsys)

@@ -2,9 +2,11 @@
 
 import collections
 import functools
+import hashlib
 import itertools
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 
@@ -313,6 +315,25 @@ class TestTheoremSuites:
             doc.pop("stats")
             doc["config"].pop("threads")
         assert serial == threaded
+
+    # sha256 of each report's to_json() text up to n = 6, the stats member
+    # cut out
+    PAYLOAD_DIGESTS = {
+        "color-removal": "d0dde66608dbd4b5d6a824b7a3ecda4a0a884bb4a0fab07f3800c521fcf3e382",
+        "perfect-subset": "a6281cb50bb60752cc7d01492b37e2f94a8547c8c48569dfc6571298a171782a",
+        "reading-divergence": "becbd1c876741b81cb01a80ac4ab767ab2b035935369e1dc943aff22f09bef40",
+        "theorem1": "a41e9b67d30b4eb1d3cb8acd8b983449591599c34e1f2cd30e8f6dd7cbb1648a",
+        "theorem2": "cf55e0abd9a1e206afbf4b9e14f653a7b54b38c9c60eb7491a150346a8e67ed2",
+    }
+    STATS = re.compile(r',\n  "stats": \{\n    "runtime_seconds": [0-9.e-]+\n  \}')
+
+    @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
+    def test_payload_bytes_up_to_six(self, suite):
+        # the whole layout, not only the counts: a member moved, renamed,
+        # added or dropped fails here
+        text, cut = self.STATS.subn("", ALL_SUITES[suite](6).to_json())
+        assert cut == 1
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PAYLOAD_DIGESTS[suite]
 
     @staticmethod
     def _record_pools(monkeypatch, cpus):

@@ -234,23 +234,50 @@ def test_a_bad_memo_node_fails_as_the_walk_does(monkeypatch):
     assert verify_certificate(g, cert)
 
 
-def test_double_complement_takes_the_dict_path():
-    # a dual view is translated into a new dict, never into the engine's
-    # dual store, whatever that store held before
+def test_double_complement_is_a_view_of_the_engine_store():
+    # an engine's two stores are each other's dual, so a dual view
+    # complements to a view of the engine store, and neither memo changes
     engine = RecognitionEngine()
+    store = engine._store
     pairs = _accepted_up_to(6, engine)
     duals = [complement_certificate(cert) for _, cert in pairs]
-    dual_store = engine._store.dual
-    assert dual_store.dual is None
-    held = dict(dual_store.memo)
+    assert store.dual.dual is store
+    held = dict(store.memo), dict(store.dual.memo)
     for (g, cert), dual in zip(pairs, duals):
         back = complement_certificate(dual)
-        assert type(back.nodes) is dict
-        assert back.key == cert.key
-        assert {k: v[2:] for k, v in back.nodes.items()} == \
-            {k: v[2:] for k, v in cert.nodes.items()}
+        assert type(back.nodes) is recognition._NodesView and back.nodes._store is store
+        assert back.key == cert.key and back.nodes == cert.nodes
         assert verify_certificate(g, back)
-    assert dual_store.memo == held and engine._store.dual is dual_store
+    assert (dict(store.memo), dict(store.dual.memo)) == held
+
+
+def test_complementing_a_dual_labels_each_key_once(monkeypatch):
+    # the 1,192 dual certificates with n <= 7: as views each labels its
+    # root alone; as dict copies each labels every key once per call,
+    # 13,508 labelings (38,140 when every node and both its child edges
+    # were labeled anew)
+    engine = RecognitionEngine()
+    store = engine._store
+    pairs = _accepted_up_to(7, engine)
+    duals = [complement_certificate(cert) for _, cert in pairs]
+    copies = [replace(dual, nodes=dict(dual.nodes)) for dual in duals]
+    assert len(duals) == 1192
+    held = dict(store.memo), dict(store.dual.memo)
+    labeled = _counted(monkeypatch, "_complement_form")
+    backs = [complement_certificate(dual) for dual in duals]
+    assert labeled == [1192]
+    copied_backs = [complement_certificate(copy) for copy in copies]
+    assert labeled == [1192 + 13_508]
+    assert (dict(store.memo), dict(store.dual.memo)) == held
+    for (g, _), back, copied_back in zip(pairs, backs, copied_backs):
+        assert type(copied_back.nodes) is dict
+        assert verify_certificate(g, back) and verify_certificate(g, copied_back)
+
+
+def test_a_bytearray_root_key_fails_to_complement():
+    _, cert = _largest()
+    with pytest.raises(recognition.InvalidCertificateError, match="undecodable-key"):
+        complement_certificate(replace(cert, key=bytearray(cert.key)))
 
 
 def _largest():

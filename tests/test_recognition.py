@@ -440,20 +440,21 @@ class TestCertificates:
         inner = self._inner_key(cert)
         pi, pk, pi_child, _ = cert.nodes[cert.key]
         wrong = next(k for k in cert.nodes if k not in (pi_child, cert.key))
+        # each variant with the (reason, node) verification must give it
         variants = [
-            _with_node(cert, cert.key, pi=pi | pk),
-            _with_node(cert, cert.key, pk=pk | pi),
-            _with_node(cert, cert.key, pi=pi | 1 << g.n),
-            _with_node(cert, inner, pi=0),
-            _with_node(cert, cert.key, pi_child=wrong),
-            _with_node(cert, inner, pk_child=inner),
+            (_with_node(cert, cert.key, pi=pi | pk),
+             "pi-vertex-outside-maximum-cliques", cert.key),
+            (_with_node(cert, cert.key, pk=pk | pi), "pk-not-clique", cert.key),
+            (_with_node(cert, cert.key, pi=pi | 1 << g.n), "vertex-out-of-range", cert.key),
+            (_with_node(cert, inner, pi=0), "empty-prime-independent-set", inner),
+            (_with_node(cert, cert.key, pi_child=wrong), "pi-child-mismatch", cert.key),
+            (_with_node(cert, inner, pk_child=inner), "self-reference", inner),
         ]
-        for tampered in variants:
+        for tampered, reason, node in variants:
             assert verify_certificate(g, cert)
-            warm = verify_certificate(g, tampered)
-            cold = verify_certificate(g, tampered)
-            assert not cold.ok
-            assert (warm.reason, warm.node) == (cold.reason, cold.node)
+            for _ in range(2):
+                check = verify_certificate(g, tampered)
+                assert (check.ok, check.reason, check.node) == (False, reason, node)
 
     def test_coloring_proper_with_omega_colors(self):
         eng = RecognitionEngine()
@@ -739,7 +740,8 @@ class TestVerificationMemo:
         store = eng._store
         for (g, cert), (dual, chk, dual_chk) in zip(certs, warm):
             _clear_memos(monkeypatch, store)
-            monkeypatch.setattr(store, "dual", recognition._Store())  # no dual node yet
+            # a new dual store, paired with the engine store: no dual node yet
+            monkeypatch.setattr(store, "dual", recognition._Store(store))
             assert complement_certificate(cert) == dual
             _clear_memos(monkeypatch, store)
             assert verify_certificate(g, cert) == chk
